@@ -19,7 +19,6 @@ from .errors import CollapsimError
 from .grid import Grid, HamiltonianSpec, cosine_potential, make_gaussian_packet
 from .grw import GrwParams, grw_ensemble
 from .master import DensityMatrix, evolve_diosi_master, evolve_grw_master
-from .parallel import worker_count
 
 DEFAULT_VERIFY_SEED = 20260810
 

@@ -1,45 +1,71 @@
-"""The linear diffusion collapse equation and the jump-coupled hybrid process.
+"""The stochastic Trotter product: one batched engine, two processes over it.
 
-Under the reference measure the state solves the linear SDE
+The paper's stochastic Trotter formula is an alternating product of
+unitary factors exp(-i tau H) and exact Gaussian collapse flows
 
-    d psi = -i H psi dt + sqrt(lam) x psi dxi - (lam/2) x^2 psi dt,
+    exp(sqrt(lam) x dxi - lam x^2 dt)
 
-integrated by deterministic-step splitting: per mesh cell, one unitary
-split step followed by the *exact* Gaussian collapse flow built from the
-cell's Wiener increment.  The squared norm of the raw state is a
-martingale (E ||psi_t||^2 = 1 at every resolution, since the exact flow
-has unit mean-square gain pointwise), and reweighting an ensemble by the
-raw squared norms produces the physical collapse statistics.
+over the cells of a deterministic mesh of width dt.  ``_trotter_product``
+applies it to a batch of trajectories held as an (N, n) amplitude array,
+worked through in row blocks of about 2^14 amplitudes.  Each row has its
+own factors: unitary durations tau_r, split into ceil(tau_r / cap) equal
+split steps when V and the kinetic term are both present (a substep goes
+only to the rows that still need it), flow increments dxi_r, and a number
+of factors before each sample time.  At a sample time a snapshot hook
+records the raw squared norm (the weight) and, on a copy after the
+residual unitary, the normalized state and the boundary mass; the raw
+squared norm after every factor is kept for the flash records.  Every
+operation acts row by row (elementwise products, FFTs along the last
+axis, per-row sums), so a row's bytes do not depend on its batch or its
+block, and a single trajectory is a batch of one.
 
-The hybrid process alternates unitary steps of random exponential duration
-X_{k+1}/mu with collapse flows over the deterministic mesh cells
-[k/mu, (k+1)/mu].  The flow increments always span the deterministic mesh
-regardless of the realized waiting times; the mismatch between the random
-jump times and the mesh is intrinsic to the construction and is kept
-literal here.  As mu grows with mu * alpha / 2 = lam fixed, the hybrid
-reproduces the jump process in law and converges to the diffusion process.
+Two processes are thin specs over the engine:
+
+* Diosi, the linear diffusion under the reference measure,
+
+      d psi = -i H psi dt + sqrt(lam) x psi dxi - (lam/2) x^2 psi dt,
+
+  integrated by deterministic-step splitting: every factor has
+  tau = dt = 1/R and the increment of Wiener cell k at resolution R.  The
+  squared norm of the raw state is a martingale (E ||psi_t||^2 = 1 at
+  every resolution, since the exact flow has unit mean-square gain
+  pointwise), and reweighting an ensemble by the raw squared norms
+  produces the physical collapse statistics.
+
+* the hybrid process: factor k is the unitary of random duration
+  X_{k+1}/mu followed by the flow over the deterministic cell
+  [k/mu, (k+1)/mu].  The flow increments always span the deterministic
+  mesh regardless of the realized waiting times; the mismatch between the
+  random jump times and the mesh is intrinsic to the construction and is
+  kept literal here.  As mu grows with mu * alpha / 2 = lam fixed, the
+  hybrid reproduces the jump process in law and converges to the
+  diffusion process.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import InvalidParameterError, StepTooLargeError
+from .errors import DegenerateStateError, InvalidParameterError, StepTooLargeError
 from .grid import (
+    _EXP_OVERFLOW_LIMIT,
+    DEFAULT_UNITARY_SUBSTEP,
     NORMALIZED,
-    CollapseSpec,
     WaveFunction,
     _apply_split_step,
+    _boundary_masses,
+    _check_flow_budget,
+    _require_positive,
     _split_phases,
-    boundary_mass,
-    collapse_flow,
-    evolve_unitary,
-    norm2,
-    normalize,
 )
-from .grw import BOUNDARY_MASS_LIMIT, _validate_sample_times
+from .grw import (
+    BOUNDARY_MASS_LIMIT,
+    _validate_sample_times,
+    _validate_substep,
+)
 from .records import FlashEvent, TrajectoryRecord, WeightedEnsemble, reweight_ensemble
 
 __all__ = [
@@ -53,8 +79,12 @@ __all__ = [
     "WeightedEnsemble",
 ]
 
-# Keep one-shot Wiener increment matrices below ~240 MB.
-_MAX_INCREMENT_ELEMENTS = 30_000_000
+# Amplitudes per row block (256 KiB of complex128), so that a block's
+# working arrays stay in cache: 64 rows at n = 256.
+_BLOCK_AMPLITUDES = 1 << 14
+
+# Wiener increments a block holds at once (32 MB of float64).
+_MAX_INCREMENT_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -73,9 +103,8 @@ class DiosiParams:
     sample_times: tuple = ()
 
     def __post_init__(self):
-        if self.lam <= 0 or self.t_max <= 0:
-            raise InvalidParameterError("lam and t_max must be positive")
-        if self.n_substeps_per_unit_time < 1:
+        _require_positive(lam=self.lam, t_max=self.t_max)
+        if not self.n_substeps_per_unit_time >= 1:
             raise InvalidParameterError("n_substeps_per_unit_time must be >= 1")
         object.__setattr__(
             self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
@@ -101,14 +130,166 @@ class HybridParams:
     unitary_substep: float = None
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0 or self.t_max <= 0:
-            raise InvalidParameterError("lam, mu and t_max must be positive")
+        _require_positive(lam=self.lam, mu=self.mu, t_max=self.t_max)
+        _validate_substep(self.unitary_substep)
         object.__setattr__(
             self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
 
     @property
     def alpha(self):
         return 2.0 * self.lam / self.mu
+
+
+class _Batch(NamedTuple):
+    """Output for N rows, T sample times and K factors.
+
+    The engine fills the first four fields; the hybrid spec adds the flash
+    times and centers and the number of flashes of each row (entries past a
+    row's flashes are padding).
+    """
+
+    weights: np.ndarray  # (N, T) raw squared norms at the sample times
+    states: np.ndarray  # (N, T, n) normalized snapshots, or None
+    flags: np.ndarray  # (N,) boundary mass above the limit at some snapshot
+    flash_norms: np.ndarray  # (N, K) raw squared norm after factor k, or None
+    flash_times: np.ndarray = None  # (N, K)
+    flash_centers: np.ndarray = None  # (N, K)
+    n_flashes: np.ndarray = None  # (N,)
+
+
+def _norm2_rows(amps, dx):
+    return (amps.real**2 + amps.imag**2).sum(axis=1) * dx
+
+
+def _unitary_rows(amps, h, tau, cap, phases=None, fft_workers=None):
+    """exp(-i tau_r H) on row r of amps, as composed split steps.
+
+    ``tau`` is either a float, for one split step of every row with the
+    precomputed ``phases``, or an array of per-row durations.  With an
+    array, a row with tau_r = 0 is left as it is, and when V and the kinetic
+    term are both present row r takes ceil(tau_r / cap) equal split steps
+    (one step otherwise, which is exact).  Rows of ``amps`` may be
+    overwritten; returns the evolved array.
+    """
+    if h.is_zero:
+        return amps
+    if phases is not None:
+        return _apply_split_step(amps, *phases, workers=fft_workers)
+    live = np.flatnonzero(tau > 0)
+    t = tau[live]
+    if cap is None or h.potential_is_zero or not h.kinetic:
+        steps = np.ones(live.size, dtype=np.int64)
+    else:
+        steps = np.maximum(1, np.ceil(t / cap - 1e-12)).astype(np.int64)
+    # rows needing the most substeps first: those still needing one are a prefix
+    order = np.argsort(-steps, kind="stable")
+    live, t, steps = live[order], t[order], steps[order]
+    phase = (-0.5j * (t / steps))[:, None]
+    exp_v = None if h.potential_is_zero else np.exp(phase * h.potential)
+    exp_t = np.exp(phase * h.grid.k**2) if h.kinetic else None
+    sub = amps[live]
+    for s in range(int(steps.max(initial=0))):
+        m = int(np.count_nonzero(steps > s))
+        if m == live.size:
+            sub = _apply_split_step(sub, exp_v, exp_t, workers=fft_workers)
+        else:
+            sub[:m] = _apply_split_step(
+                sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)),
+                workers=fft_workers)
+    amps[live] = sub
+    return amps
+
+
+def _flow_rows(amps, dxi, sqrt_lam_x, damp, bound, buf=None):
+    """Multiply row r by exp(sqrt(lam) x dxi_r - lam dt x^2), in place.
+
+    Raises StepTooLargeError when a realized exponent would overflow; its
+    maximum over x is dxi_r^2 / (4 dt), so rows with dxi_r^2 <= ``bound``
+    = 4 dt * limit need no look at the exponent.
+    """
+    e = np.multiply(dxi[:, None], sqrt_lam_x[None, :], out=buf)
+    e -= damp
+    if dxi.size and np.max(dxi * dxi) > bound and e.max() > _EXP_OVERFLOW_LIMIT:
+        raise StepTooLargeError("collapse-flow exponent would overflow")
+    np.exp(e, out=e)
+    amps *= e
+
+
+def _trotter_product(phi0, h, lam, cell_dt, counts, tau, increments, residual=None,
+                     cap=None, store_states=True, flash_norms=False, fft_workers=None):
+    """The Trotter product on one row block of copies of phi0.
+
+    Row r applies factors k = 0, 1, ...: the unitary of duration tau (a
+    float for every factor of every row, else ``tau[r, k]``) and then the
+    exact flow over a mesh cell of length ``cell_dt`` with increment
+    ``increments(k0, k1)[r, k - k0]``.  Snapshot j follows the first
+    ``counts[r, j]`` factors (counts non-decreasing in j): the weight is the
+    raw squared norm there; the state is normalized after the unitary of
+    duration ``residual[r, j]`` on a copy (none when residual is None), and
+    the boundary flag is taken from that state whenever it is formed
+    (always when residual is None).  Returns a _Batch.
+    """
+    grid = phi0.grid
+    rows, n_snap = counts.shape
+    n, dx, x = grid.n_points, grid.dx, grid.x
+    n_factors = tau.shape[1] if flash_norms else 0
+    weights = np.empty((rows, n_snap))
+    states = np.empty((rows, n_snap, n), dtype=np.complex128) if store_states else None
+    flags = np.zeros(rows, dtype=bool)
+    norms = np.zeros((rows, n_factors)) if flash_norms else None
+    if rows == 0:
+        return _Batch(weights, states, flags, norms)
+
+    sqrt_lam_x = math.sqrt(lam) * x
+    damp = lam * cell_dt * x * x
+    bound = 4.0 * cell_dt * _EXP_OVERFLOW_LIMIT
+    shared_tau = isinstance(tau, float)
+    phases = _split_phases(h, tau) if shared_tau else None
+    amps = np.tile(phi0.amplitudes, (rows, 1))
+    buf = np.empty((rows, n))
+    chunk = max(1, _MAX_INCREMENT_ELEMENTS // rows)
+    done = np.zeros(rows, dtype=np.int64)
+    for j in range(n_snap):
+        target = counts[:, j]
+        lockstep = done.min() == done.max() and target.min() == target.max()
+        k_end = int(target.max())
+        for c0 in range(int(done.min()), k_end, chunk):
+            c1 = min(k_end, c0 + chunk)
+            dxi = increments(c0, c1)
+            for k in range(c0, c1):
+                act = slice(None) if lockstep else np.flatnonzero((done <= k) & (k < target))
+                sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k],
+                                    cap, phases, fft_workers)
+                _flow_rows(sub, dxi[act, k - c0], sqrt_lam_x, damp, bound,
+                           buf if lockstep else None)
+                if flash_norms:
+                    norms[act, k] = _norm2_rows(sub, dx)
+                if lockstep:
+                    amps = sub
+                else:
+                    amps[act] = sub
+        done = target
+        weights[:, j] = _norm2_rows(amps, dx)
+        if residual is not None and not store_states:
+            continue
+        snap = amps if residual is None else _unitary_rows(
+            amps.copy(), h, residual[:, j], cap, fft_workers=fft_workers)
+        flags |= _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
+        if store_states:
+            w = _norm2_rows(snap, dx)
+            if not np.all(w > 1e-300):
+                raise DegenerateStateError("cannot normalize a numerically vanishing state")
+            states[:, j] = snap / np.sqrt(w)[:, None]
+    return _Batch(weights, states, flags, norms)
+
+
+def _in_blocks(n_rows, n_points, block):
+    """block(lo, hi) over consecutive row blocks of range(n_rows), concatenated."""
+    size = max(1, _BLOCK_AMPLITUDES // n_points)
+    parts = [block(lo, min(n_rows, lo + size)) for lo in range(0, max(n_rows, 1), size)]
+    if len(parts) == 1:
+        return parts[0]
+    return _Batch(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
 
 
 def _snap_steps(sample_times, resolution):
@@ -120,72 +301,106 @@ def _snap_steps(sample_times, resolution):
     return steps
 
 
-def _check_flow_step(grid, lam, dt):
-    x2max = max(grid.x_min**2, grid.x_max**2)
-    if lam * x2max * dt > 700.0:
-        raise StepTooLargeError(
-            "lam * x_max^2 * dt exceeds the overflow budget; raise the "
-            "resolution or shrink the window")
-
-
 def _diosi_arrays(phi0, h, p, seed, indices, store_states=True, fft_workers=None):
-    """Batched splitting integrator over the trajectories in ``indices``.
+    """Diosi spec: every factor lasts 1/R and flows over Wiener cell k at resolution R.
 
-    Returns (actual_times, weights[N, T], states[N, T, n] or None) where
-    the weights are raw squared norms and the states are normalized.  Row
-    i uses exactly the Wiener cells of WienerPath(seed, indices[i], R), so
-    single-trajectory and batched runs coincide bit for bit.
+    Returns the engine's _Batch: raw-norm weights, normalized states when
+    ``store_states``, boundary flags.  Row i uses exactly the Wiener cells
+    of WienerPath(seed, indices[i], R), so single-trajectory and batched
+    runs coincide bit for bit.
     """
-    grid = phi0.grid
     res = p.n_substeps_per_unit_time
     dt = 1.0 / res
-    _check_flow_step(grid, p.lam, dt)
-    steps = _snap_steps(p.sample_times, res)
-    n_snap = len(steps)
-    total = steps[-1] if steps else 0
-    n = grid.n_points
-    big = len(indices)
+    _check_flow_budget(phi0.grid, p.lam, dt)
+    steps = np.array(_snap_steps(p.sample_times, res), dtype=np.int64)
+    indices = list(indices)
 
-    amps = np.tile(phi0.amplitudes, (big, 1))
-    exp_v_half, exp_t = _split_phases(h, dt)
-    x = grid.x
-    sqrt_lam_x = math.sqrt(p.lam) * x
-    damp = p.lam * dt * x * x
-    weights = np.empty((big, n_snap))
-    states = np.empty((big, n_snap, n), dtype=np.complex128) if store_states else None
+    def block(lo, hi):
+        paths = [rngmod.WienerPath(seed, i, cells_per_unit=res) for i in indices[lo:hi]]
+        return _trotter_product(
+            phi0, h, p.lam, dt, np.tile(steps, (hi - lo, 1)), dt,
+            lambda k0, k1: np.array([path.cell_increments(k0, k1) for path in paths]),
+            store_states=store_states, fft_workers=fft_workers)
 
-    def record(si):
-        w = (amps.real**2 + amps.imag**2).sum(axis=1) * grid.dx
-        weights[:, si] = w
-        if store_states:
-            states[:, si] = amps / np.sqrt(w)[:, None]
+    return _in_blocks(len(indices), phi0.grid.n_points, block)
 
-    si = 0
-    while si < n_snap and steps[si] == 0:
-        record(si)
-        si += 1
 
-    exp_buf = np.empty((big, n))
-    chunk = total if big * total <= _MAX_INCREMENT_ELEMENTS else max(
-        1, _MAX_INCREMENT_ELEMENTS // max(big, 1))
-    for s0 in range(0, total, chunk):
-        s1 = min(total, s0 + chunk)
-        dxi = np.empty((big, s1 - s0))
-        for row, idx in enumerate(indices):
-            path = rngmod.WienerPath(seed, idx, cells_per_unit=res)
-            dxi[row] = path.cell_increments(s0, s1)
-        for s in range(s0, s1):
-            if not h.is_zero:
-                amps = _apply_split_step(amps, exp_v_half, exp_t, workers=fft_workers)
-            np.multiply(dxi[:, s - s0, None], sqrt_lam_x[None, :], out=exp_buf)
-            exp_buf -= damp
-            np.exp(exp_buf, out=exp_buf)
-            amps *= exp_buf
-            while si < n_snap and steps[si] == s + 1:
-                record(si)
-                si += 1
-    actual = np.array(steps, dtype=float) / res
-    return actual, weights, states
+def _hybrid_arrays(phi0, h, p, seed, indices, store_states=True):
+    """Hybrid spec: per-row jump schedules, then the engine over row blocks.
+
+    Row i takes its waiting times X_k from ExponentialSequence(seed, i) (or
+    X_k = 1) and its flow increments from the coarse cells of
+    WienerPath(seed, i, wiener_resolution); factor k runs when its jump time
+    T_{k+1} = T_k + X_{k+1}/mu is at most the sample time (plus 1e-12
+    relative slack).  Returns the engine's _Batch with the flashes added:
+    row r has the first n_flashes[r] of them, at the jump times, with
+    centers (mu / (2 sqrt(lam))) dxi.
+    """
+    base = p.wiener_resolution if p.wiener_resolution is not None else p.mu
+    rngmod.WienerPath(seed, 0, cells_per_unit=base).coarse_ratio(p.mu)  # validate up front
+    dt_cell = 1.0 / p.mu
+    _check_flow_budget(phi0.grid, p.lam, dt_cell)
+    times = np.array(p.sample_times, dtype=float)
+    limits = times + 1e-12 * np.maximum(1.0, np.abs(times))
+    horizon = limits[-1] if limits.size else 0.0
+    indices = list(indices)
+    n_rows = len(indices)
+    if p.deterministic_times:  # X_k = 1, T_k = k / mu
+        waits = np.ones((n_rows, int(horizon * p.mu) + 2))
+        jump_times = np.tile((np.arange(waits.shape[1]) + 1) * dt_cell, (n_rows, 1))
+    else:
+        drawn = []
+        for idx in indices:  # enough waits for T_k to pass the horizon
+            seq = rngmod.ExponentialSequence(seed, idx)
+            m = seq.block_size
+            while np.cumsum(seq.head(m) * dt_cell)[-1] <= horizon:
+                m *= 2
+            drawn.append(seq.head(m))
+        waits = np.full((n_rows, max(map(len, drawn), default=0)), np.inf)
+        for r, w in enumerate(drawn):
+            waits[r, :w.size] = w
+        jump_times = np.cumsum(waits * dt_cell, axis=1)
+    counts = np.zeros((n_rows, limits.size), dtype=np.int64)
+    for j, lim in enumerate(limits):
+        counts[:, j] = np.count_nonzero(jump_times <= lim, axis=1)
+    n_flashes = counts.max(axis=1, initial=0)
+    n_factors = int(n_flashes.max(initial=0))
+    taus = waits[:, :n_factors] * dt_cell
+    dxis = np.zeros((n_rows, n_factors))
+    for r, idx in enumerate(indices):
+        path = rngmod.WienerPath(seed, idx, cells_per_unit=base)
+        dxis[r, :n_flashes[r]] = path.coarse_increments(p.mu, 0, n_flashes[r])
+    last = np.take_along_axis(jump_times, np.maximum(counts - 1, 0), axis=1)
+    residual = np.maximum(0.0, times - np.where(counts > 0, last, 0.0))
+    cap = DEFAULT_UNITARY_SUBSTEP if p.unitary_substep is None else float(p.unitary_substep)
+
+    def block(lo, hi):
+        return _trotter_product(
+            phi0, h, p.lam, dt_cell, counts[lo:hi], taus[lo:hi],
+            lambda k0, k1: dxis[lo:hi, k0:k1], residual[lo:hi], cap,
+            store_states=store_states, flash_norms=True)
+
+    return _in_blocks(n_rows, phi0.grid.n_points, block)._replace(
+        flash_times=jump_times[:, :n_factors],
+        flash_centers=(p.mu / (2.0 * math.sqrt(p.lam))) * dxis, n_flashes=n_flashes)
+
+
+def _records(seed, indices, times, grid, batch, record_flow_cells=False):
+    """One TrajectoryRecord per row of a _Batch."""
+    out = []
+    for row, idx in enumerate(indices):
+        k = 0 if batch.n_flashes is None else int(batch.n_flashes[row])
+        flashes = tuple(map(FlashEvent, *(
+            a[row, :k].tolist() for a in (batch.flash_times, batch.flash_centers,
+                                          batch.flash_norms)))) if k else ()
+        states = () if batch.states is None else tuple(
+            WaveFunction(grid, s.copy(), NORMALIZED) for s in batch.states[row])
+        out.append(TrajectoryRecord(
+            seed=int(seed), index=int(idx), times=times, states=states,
+            weights=batch.weights[row].copy(), flashes=flashes,
+            boundary_flag=bool(batch.flags[row]),
+            flow_cells=tuple(range(k)) if record_flow_cells else ()))
+    return out
 
 
 def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
@@ -195,8 +410,6 @@ def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
     importance weight under the reference measure) and the normalized
     state.
     """
-    if phi0.label != NORMALIZED:
-        raise InvalidParameterError("phi0 must be normalized")
     recs = diosi_ensemble(phi0, h, p, seed, 1, store_states=store_states,
                           first_index=index)
     return recs[0]
@@ -204,28 +417,26 @@ def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
 
 def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
                    first_index=0, fft_workers=None):
-    """Batch-integrated ensemble of diffusion trajectories."""
+    """Batch-integrated ensemble of diffusion trajectories.
+
+    The boundary flag is computed from the batch amplitudes, so weights-only
+    runs carry it too.
+    """
     if phi0.label != NORMALIZED:
         raise InvalidParameterError("phi0 must be normalized")
     indices = range(first_index, first_index + n_trajectories)
-    _, weights, states = _diosi_arrays(
-        phi0, h, p, seed, list(indices), store_states=store_states,
-        fft_workers=fft_workers)
-    times = p.sample_times
-    out = []
-    for row, idx in enumerate(indices):
-        if store_states:
-            snaps = tuple(
-                WaveFunction(phi0.grid, states[row, j].copy(), NORMALIZED)
-                for j in range(len(times)))
-            flagged = any(boundary_mass(s) > BOUNDARY_MASS_LIMIT for s in snaps)
-        else:
-            snaps = ()
-            flagged = False
-        out.append(TrajectoryRecord(
-            seed=int(seed), index=int(idx), times=times, states=snaps,
-            weights=weights[row].copy(), flashes=(), boundary_flag=flagged))
-    return out
+    batch = _diosi_arrays(phi0, h, p, seed, indices, store_states=store_states,
+                          fft_workers=fft_workers)
+    return _records(seed, indices, p.sample_times, phi0.grid, batch)
+
+
+def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, record_flow_cells=False):
+    """Records of the hybrid trajectories with indices lo .. hi-1, one engine call."""
+    if phi0.label != NORMALIZED:
+        raise InvalidParameterError("phi0 must be normalized")
+    batch = _hybrid_arrays(phi0, h, p, seed, range(lo, hi), store_states=store_states)
+    return _records(seed, range(lo, hi), p.sample_times, phi0.grid, batch,
+                    record_flow_cells)
 
 
 def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True,
@@ -239,70 +450,22 @@ def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True,
     factor k is recorded on the flash event (center Z_k, the rescaled
     increment), and the weight at a sample time is the raw squared norm
     there.  Waiting times and Wiener increments come from independent
-    streams.
+    streams.  Weights-only runs skip the residual unitary and carry no
+    boundary flag.  This is a batch of one: row ``index`` of any ensemble
+    is the same record bit for bit.
     """
-    if phi0.label != NORMALIZED:
-        raise InvalidParameterError("phi0 must be normalized")
-    base = p.wiener_resolution if p.wiener_resolution is not None else p.mu
-    path = rngmod.WienerPath(seed, index, cells_per_unit=base)
-    path.coarse_ratio(p.mu)  # validate divisibility up front
-    waits = rngmod.ExponentialSequence(seed, index)
-    c = CollapseSpec(p.lam)
-    dt_cell = 1.0 / p.mu
-    _check_flow_step(phi0.grid, p.lam, dt_cell)
-    z_scale = p.mu / (2.0 * math.sqrt(p.lam))
-
-    state = phi0  # evolves raw; never renormalized mid-run
-    k = 0
-    t_k = 0.0  # T_k, time of the k-th jump
-    flashes = []
-    cells = []
-    snaps = []
-    weights = []
-    flagged = False
-    for t in p.sample_times:
-        tol = 1e-12 * max(1.0, abs(t))
-        while True:
-            x_next = 1.0 if p.deterministic_times else waits[k]
-            t_next = (k + 1) * dt_cell if p.deterministic_times else t_k + x_next * dt_cell
-            if t_next > t + tol:
-                break
-            state = evolve_unitary(state, h, x_next * dt_cell, p.unitary_substep)
-            dxi = float(path.coarse_increments(p.mu, k, k + 1)[0])
-            state = collapse_flow(state, c, dxi, dt_cell)
-            flashes.append(FlashEvent(t_next, z_scale * dxi, norm2(state)))
-            if record_flow_cells:
-                cells.append(k)
-            k += 1
-            t_k = t_next
-        w = norm2(state)
-        weights.append(w)
-        if store_states:
-            snap = normalize(evolve_unitary(state, h, max(0.0, t - t_k),
-                                            p.unitary_substep))
-            flagged = flagged or boundary_mass(snap) > BOUNDARY_MASS_LIMIT
-            snaps.append(snap)
-
-    return TrajectoryRecord(
-        seed=int(seed),
-        index=int(index),
-        times=p.sample_times,
-        states=tuple(snaps),
-        weights=np.array(weights),
-        flashes=tuple(flashes),
-        boundary_flag=flagged,
-        flow_cells=tuple(cells),
-    )
+    return _hybrid_records(phi0, h, p, seed, store_states, index, index + 1,
+                           record_flow_cells)[0]
 
 
 def hybrid_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
                     workers=None):
-    """Independent hybrid trajectories with indices 0 .. n-1."""
-    from .parallel import run_indexed
+    """Independent hybrid trajectories with indices 0 .. n-1.
 
-    if store_states:
-        return run_indexed(hybrid_trajectory, (phi0, h, p, seed),
-                           n_trajectories, workers)
-    # weights-only runs are cheap; skip pool pickling overhead
-    return [hybrid_trajectory(phi0, h, p, seed, index=i, store_states=False)
-            for i in range(n_trajectories)]
+    Each worker runs the engine once over a contiguous slice of the
+    indices; weights-only runs are cheap and stay in-process.
+    """
+    from .parallel import run_sliced
+
+    return run_sliced(_hybrid_records, (phi0, h, p, seed, store_states),
+                      n_trajectories, workers if store_states else 1)

@@ -13,7 +13,7 @@ All operations are pure: state in, new state out.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +35,14 @@ _EXP_OVERFLOW_LIMIT = 700.0
 
 # Default cap on the duration of a single split step when V != 0.
 DEFAULT_UNITARY_SUBSTEP = 1.0 / 128.0
+
+
+def _require_positive(**values):
+    """Raise InvalidParameterError unless every value is positive and finite."""
+    for name, value in values.items():
+        if not (0 < value < math.inf):
+            raise InvalidParameterError(
+                f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,7 @@ class CollapseSpec:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InvalidParameterError("lam must be positive")
+        _require_positive(lam=self.lam)
 
 
 def norm2(psi):
@@ -294,6 +301,15 @@ def gaussian_hit(psi, center, alpha):
     return WaveFunction(psi.grid, psi.amplitudes * factor, RAW)
 
 
+def _check_flow_budget(grid, lam, dt):
+    """StepTooLargeError unless lam * max(x^2) * dt fits the overflow budget."""
+    x2max = max(grid.x_min**2, grid.x_max**2)
+    if lam * x2max * dt > _EXP_OVERFLOW_LIMIT:
+        raise StepTooLargeError(
+            "lam * x_max^2 * dt exceeds the overflow budget; shrink the step "
+            "or the window")
+
+
 def collapse_flow(psi, c, dxi, dt):
     """Exact Gaussian collapse flow exp(sqrt(lam) x dxi - lam x^2 dt).
 
@@ -308,12 +324,8 @@ def collapse_flow(psi, c, dxi, dt):
     """
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
+    _check_flow_budget(psi.grid, c.lam, dt)
     x = psi.grid.x
-    x2max = max(psi.grid.x_min**2, psi.grid.x_max**2)
-    if c.lam * x2max * dt > _EXP_OVERFLOW_LIMIT:
-        raise StepTooLargeError(
-            "lam * x_max^2 * dt exceeds the overflow budget; shrink the step "
-            "or the window")
     exponent = math.sqrt(c.lam) * dxi * x - c.lam * dt * x**2
     peak = float(np.max(exponent))
     if peak > _EXP_OVERFLOW_LIMIT:
@@ -345,15 +357,21 @@ def boundary_mass(psi):
     Used as a run diagnostic: periodic boundaries are only valid while
     this stays negligible.
     """
-    length = psi.grid.x_max - psi.grid.x_min
-    lo = psi.grid.x_min + 0.05 * length
-    hi = psi.grid.x_max - 0.05 * length
-    d = np.abs(psi.amplitudes) ** 2
-    total = d.sum()
-    if not (total > 0):
-        return 0.0
-    outer = d[(psi.grid.x < lo) | (psi.grid.x > hi)].sum()
-    return float(outer / total)
+    return float(_boundary_masses(psi.amplitudes[None, :], psi.grid)[0])
+
+
+def _boundary_masses(amps, grid):
+    """boundary_mass of each row of (rows, n) amplitudes; 0 for a zero row.
+
+    The fraction is scale-invariant, so raw and normalized rows agree.
+    """
+    length = grid.x_max - grid.x_min
+    lo = grid.x_min + 0.05 * length
+    hi = grid.x_max - 0.05 * length
+    d = np.abs(amps) ** 2
+    total = d.sum(axis=1)
+    outer = d[:, (grid.x < lo) | (grid.x > hi)].sum(axis=1)
+    return np.divide(outer, total, out=np.zeros_like(total), where=total > 0)
 
 
 def spectral_derivative(psi, order=1):

@@ -9,7 +9,7 @@ the convolution density by construction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from . import rng as rngmod
 from .errors import DegenerateStateError, InvalidParameterError
 from .grid import (
     NORMALIZED,
+    _require_positive,
     boundary_mass,
     evolve_unitary,
     gaussian_hit,
@@ -26,6 +27,11 @@ from .grid import (
 from .records import FlashEvent, TrajectoryRecord
 
 BOUNDARY_MASS_LIMIT = 1e-6
+
+
+def _validate_substep(unitary_substep):
+    if unitary_substep is not None:
+        _require_positive(unitary_substep=unitary_substep)
 
 
 def _validate_sample_times(sample_times, t_max):
@@ -48,8 +54,8 @@ class GrwParams:
     unitary_substep: float = None
 
     def __post_init__(self):
-        if self.mu <= 0 or self.alpha <= 0 or self.t_max <= 0:
-            raise InvalidParameterError("mu, alpha and t_max must be positive")
+        _require_positive(mu=self.mu, alpha=self.alpha, t_max=self.t_max)
+        _validate_substep(self.unitary_substep)
         object.__setattr__(
             self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
 

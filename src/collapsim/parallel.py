@@ -2,8 +2,8 @@
 
 Each trajectory derives all of its randomness from (seed, index), so the
 results are identical for any worker count; only wall time changes.  The
-pool chunks the index range, and the caller receives records ordered by
-index regardless of completion order.
+pool splits the index range into one contiguous slice per worker, and the
+caller receives records ordered by index regardless of completion order.
 """
 
 import os
@@ -29,19 +29,28 @@ def _chunk(fn, fixed_args, lo, hi):
     return [fn(*fixed_args, index=i) for i in range(lo, hi)]
 
 
-def run_indexed(fn, fixed_args, n, workers=None):
-    """Run fn(*fixed_args, index=i) for i in range(n), in index order."""
+def run_sliced(fn, fixed_args, n, workers=None):
+    """fn(*fixed_args, lo, hi) over contiguous slices of range(n), one per worker.
+
+    fn returns the list of results for indices lo .. hi-1; the lists are
+    concatenated in index order.
+    """
     n = int(n)
     w = min(worker_count(workers), max(1, n))
-    if w <= 1 or n <= 1:
-        return _chunk(fn, fixed_args, 0, n)
+    if w <= 1:
+        return fn(*fixed_args, 0, n)
     bounds = [(n * j) // w for j in range(w + 1)]
     out = []
     with ProcessPoolExecutor(max_workers=w) as pool:
         futures = [
-            pool.submit(_chunk, fn, fixed_args, bounds[j], bounds[j + 1])
+            pool.submit(fn, *fixed_args, bounds[j], bounds[j + 1])
             for j in range(w)
         ]
         for fut in futures:  # submission order == index order
             out.extend(fut.result())
     return out
+
+
+def run_indexed(fn, fixed_args, n, workers=None):
+    """Run fn(*fixed_args, index=i) for i in range(n), in index order."""
+    return run_sliced(_chunk, (fn, fixed_args), n, workers)

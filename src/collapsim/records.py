@@ -1,6 +1,6 @@
 """Trajectory records and weighted ensembles shared by all process models."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -37,7 +37,10 @@ class WienerPath:
     each Normal(0, 1/cells_per_unit).  Cells are materialized in blocks keyed
     by (seed, trajectory, ROLE_WIENER, block index), so any sub-range can be
     (re)computed independently of access order, and the path extends lazily
-    past any horizon.
+    past any horizon.  Within a block only the prefix a caller has reached is
+    drawn; the block's generator is kept and extends the prefix on demand.
+    A chunked draw from one Philox stream equals a single draw, so the cells
+    do not depend on how the path was read.
 
     Parameters
     ----------
@@ -49,22 +52,34 @@ class WienerPath:
     """
 
     def __init__(self, seed, trajectory, cells_per_unit, block_size=4096):
-        if cells_per_unit <= 0:
-            raise InvalidParameterError("cells_per_unit must be positive")
+        if not (0 < cells_per_unit < np.inf):
+            raise InvalidParameterError("cells_per_unit must be positive and finite")
         self.seed = int(seed)
         self.trajectory = int(trajectory)
         self.cells_per_unit = float(cells_per_unit)
         self.block_size = int(block_size)
         self._scale = (1.0 / self.cells_per_unit) ** 0.5
-        self._blocks = {}
+        self._blocks = {}  # block index -> [generator, cells, number drawn]
 
-    def _block(self, b):
+    @property
+    def normals_drawn(self):
+        """Normals drawn so far, over all blocks."""
+        return sum(drawn for _, _, drawn in self._blocks.values())
+
+    def _block(self, b, stop):
+        """Cells of block b with at least the prefix [0, stop) drawn."""
         got = self._blocks.get(b)
         if got is None:
-            g = stream(self.seed, self.trajectory, ROLE_WIENER, block=b)
-            got = g.standard_normal(self.block_size) * self._scale
+            got = [stream(self.seed, self.trajectory, ROLE_WIENER, block=b),
+                   np.empty(self.block_size), 0]
             self._blocks[b] = got
-        return got
+        g, cells, drawn = got
+        if stop > drawn:
+            fresh = cells[drawn:stop]
+            g.standard_normal(out=fresh)
+            fresh *= self._scale
+            got[2] = stop
+        return cells
 
     def cell_increments(self, start, stop):
         """Increments of the cells [start, stop) as an array."""
@@ -77,7 +92,7 @@ class WienerPath:
         while pos < stop:
             b, off = divmod(pos, self.block_size)
             take = min(self.block_size - off, stop - pos)
-            out[at:at + take] = self._block(b)[off:off + take]
+            out[at:at + take] = self._block(b, off + take)[off:off + take]
             pos += take
             at += take
         return out
@@ -119,14 +134,22 @@ class ExponentialSequence:
         self.block_size = int(block_size)
         self._blocks = {}
 
-    def __getitem__(self, i):
-        i = int(i)
-        if i < 0:
-            raise IndexError("negative index")
-        b, off = divmod(i, self.block_size)
+    def _block(self, b):
         got = self._blocks.get(b)
         if got is None:
             g = stream(self.seed, self.trajectory, ROLE_JUMP_TIMES, block=b)
             got = g.standard_exponential(self.block_size)
             self._blocks[b] = got
-        return float(got[off])
+        return got
+
+    def __getitem__(self, i):
+        i = int(i)
+        if i < 0:
+            raise IndexError("negative index")
+        b, off = divmod(i, self.block_size)
+        return float(self._block(b)[off])
+
+    def head(self, m):
+        """The first m values as an array."""
+        blocks = [self._block(b) for b in range(-(-int(m) // self.block_size))]
+        return np.concatenate(blocks)[:m] if blocks else np.empty(0)

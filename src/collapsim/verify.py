@@ -17,11 +17,10 @@ import numpy as np
 import scipy.fft
 
 from . import rng as rngmod
-from .diosi import HybridParams, _diosi_arrays, hybrid_trajectory
+from .diosi import HybridParams, _diosi_arrays, _hybrid_arrays
 from .errors import InvalidParameterError
 from .grid import NORMALIZED, WaveFunction, inner, norm2, nyquist_mass_fraction
 from .grw import gaussian_hit, sample_flash_center
-from .records import TrajectoryRecord
 from .stats import effective_sample_size, ks_2samp
 from . import grid as gridmod
 
@@ -141,6 +140,13 @@ class TestFunctional:
         return float(np.mean(vals)) if vals else 0.0
 
 
+def _functional_values(functional, grid, states):
+    """functional.value of each row of normalized snapshots (N, T, n)."""
+    return np.array([
+        functional.value([WaveFunction(grid, s, NORMALIZED) for s in row])
+        for row in states])
+
+
 def _weighted_mean_se(g):
     mean = float(g.mean())
     se = float(g.std(ddof=1) / math.sqrt(g.size)) if g.size > 1 else float("inf")
@@ -206,12 +212,9 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
     p_hyb = HybridParams(
         lam=lam, mu=mu, t_max=n_jumps / mu, sample_times=(n_jumps / mu,),
         deterministic_times=True)
-    zs = np.empty((n_samples, n_jumps))
-    ws = np.empty(n_samples)
-    for i in range(n_samples):
-        rec = hybrid_trajectory(phi0, h0, p_hyb, seed, index=i, store_states=False)
-        zs[i] = [f.center for f in rec.flashes]
-        ws[i] = rec.weights[-1]
+    batch = _hybrid_arrays(phi0, h0, p_hyb, seed, range(n_samples), store_states=False)
+    zs = batch.flash_centers[:, :n_jumps]
+    ws = batch.weights[:, -1]
 
     ess = effective_sample_size(ws)
     report_details["effective_sample_size"] = ess
@@ -249,16 +252,8 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
 
 def _model_weights(phi0, h, params, n_samples, seed):
     """Raw-norm weights (n_samples, n_times) for a diffusion or hybrid model."""
-    if isinstance(params, HybridParams):
-        w = np.empty((n_samples, len(params.sample_times)))
-        for i in range(n_samples):
-            rec = hybrid_trajectory(phi0, h, params, seed, index=i,
-                                    store_states=False)
-            w[i] = rec.weights
-        return w
-    _, w, _ = _diosi_arrays(phi0, h, params, seed, list(range(n_samples)),
-                            store_states=False)
-    return w
+    spec = _hybrid_arrays if isinstance(params, HybridParams) else _diosi_arrays
+    return spec(phi0, h, params, seed, range(n_samples), store_states=False).weights
 
 
 def check_norm_martingale(phi0, h, params, n_samples, seed, weight_bias=0.0,
@@ -347,14 +342,8 @@ def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
     ref_lam = lam if reference_lam is None else reference_lam
     p_ref = DiosiParams(lam=ref_lam, n_substeps_per_unit_time=reference_substeps,
                         t_max=t_list[-1], sample_times=t_list)
-    _, w_ref, states_ref = _diosi_arrays(
-        phi0, h, p_ref, seed, list(range(n_samples)), store_states=True)
-    n_times = len(t_list)
-    f_ref = np.array([
-        functional.value([WaveFunction(phi0.grid, states_ref[i, j], NORMALIZED)
-                          for j in range(n_times)])
-        for i in range(n_samples)])
-    wf_ref = w_ref[:, -1] * f_ref
+    ref = _diosi_arrays(phi0, h, p_ref, seed, range(n_samples))
+    wf_ref = ref.weights[:, -1] * _functional_values(functional, phi0.grid, ref.states)
 
     per_mu = {}
     errors = []
@@ -364,12 +353,9 @@ def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
         p_mu = HybridParams(lam=lam, mu=mu, t_max=t_list[-1], sample_times=t_list,
                             wiener_resolution=reference_substeps,
                             unitary_substep=unitary_substep)
-        wf = np.empty(n_samples)
-        wts = np.empty(n_samples)
-        for i in range(n_samples):
-            rec = hybrid_trajectory(phi0, h, p_mu, seed, index=i)
-            wf[i] = rec.weights[-1] * functional.value(rec.states)
-            wts[i] = rec.weights[-1]
+        batch = _hybrid_arrays(phi0, h, p_mu, seed, range(n_samples))
+        wts = batch.weights[:, -1]
+        wf = wts * _functional_values(functional, phi0.grid, batch.states)
         abs_dev = np.abs(wf - wf_ref)
         err = abs(float(wf.mean() - wf_ref.mean()))
         strong = float(abs_dev.mean())

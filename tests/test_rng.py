@@ -43,6 +43,24 @@ def test_wiener_block_boundary_consistency():
     assert np.array_equal(whole, parts)
 
 
+def test_wiener_draws_only_the_prefix_it_needs():
+    # a short draw, a later longer one and one across a block boundary give
+    # the cells of a path drawn as whole blocks, and draw no further
+    scale = (1.0 / 64.0) ** 0.5
+    blocks = np.concatenate([stream(13, 2, ROLE_WIENER, b).standard_normal(4096)
+                             for b in range(2)]) * scale
+    whole = WienerPath(13, 2, 64).cell_increments(0, 8192)
+    assert np.array_equal(whole, blocks)
+    lazy = WienerPath(13, 2, 64)
+    assert np.array_equal(lazy.cell_increments(0, 1), blocks[:1])
+    assert lazy.normals_drawn == 1
+    assert np.array_equal(lazy.cell_increments(0, 512), blocks[:512])
+    assert lazy.normals_drawn == 512
+    assert np.array_equal(lazy.cell_increments(4000, 4200), blocks[4000:4200])
+    assert lazy.normals_drawn == 4096 + 104
+    assert np.array_equal(lazy.cell_increments(0, 8192), blocks)
+
+
 def test_coarse_increments_are_fine_sums():
     p = WienerPath(9, 1, 256)
     fine = p.cell_increments(0, 256)
