@@ -96,45 +96,56 @@ class ArchiveReader:
         return tuple(self.header["sample_times"])
 
 
+def _require(blob, end):
+    if end > len(blob):
+        raise ArchiveError(f"archive is truncated: {len(blob)} bytes, record data "
+                           f"needs {end}")
+
+
+def _unpack(fmt, blob, off):
+    """struct.unpack_from with a bounds check; returns (values, offset after)."""
+    end = off + struct.calcsize(fmt)
+    _require(blob, end)
+    return struct.unpack_from(fmt, blob, off), end
+
+
 def read_archive(path, expected_config=None):
+    """Parse an archive; any malformed or truncated input raises ArchiveError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise ArchiveError("bad magic; not a CLDN1 archive")
-    off = len(MAGIC)
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (hlen,), off = _unpack("<I", blob, len(MAGIC))
     header_bytes = blob[off:off + hlen]
     off += hlen
     digest = blob[off:off + 32]
     off += 32
     if hashlib.sha256(header_bytes).digest() != digest:
         raise ArchiveError("header checksum mismatch; archive rejected")
-    header = json.loads(header_bytes.decode("utf-8"))
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except ValueError as exc:
+        raise ArchiveError(f"header is not valid JSON: {exc}") from None
     if header.get("format_version") != FORMAT_VERSION:
         raise ArchiveError("unsupported format version")
     if expected_config is not None and header["config_sha256"] != expected_config.sha256():
         raise ArchiveError("archive was produced by a different config")
     g = header["grid"]
     grid = Grid(g["n_points"], g["x_min"], g["x_max"])
-    n_points = grid.n_points
     records = []
     for _ in range(header["n_records"]):
-        index, bflag, n_flash = struct.unpack_from("<QBI", blob, off)
-        off += 13
+        (index, bflag, n_flash), off = _unpack("<QBI", blob, off)
         flashes = []
         for _ in range(n_flash):
-            t, c, n2 = struct.unpack_from("<ddd", blob, off)
-            off += 24
-            flashes.append(FlashEvent(t, c, n2))
-        (n_times,) = struct.unpack_from("<I", blob, off)
-        off += 4
+            fl, off = _unpack("<ddd", blob, off)
+            flashes.append(FlashEvent(*fl))
+        (n_times,), off = _unpack("<I", blob, off)
         times, weights, states = [], [], []
         for _ in range(n_times):
-            t, w = struct.unpack_from("<dd", blob, off)
-            off += 16
-            amps = np.frombuffer(blob, dtype="<c8", count=n_points, offset=off)
-            off += 8 * n_points
+            (t, w), off = _unpack("<dd", blob, off)
+            _require(blob, off + 8 * grid.n_points)
+            amps = np.frombuffer(blob, dtype="<c8", count=grid.n_points, offset=off)
+            off += 8 * grid.n_points
             times.append(t)
             weights.append(w)
             states.append(WaveFunction(grid, amps.copy(), NORMALIZED))

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import archive as archive_mod
+from .archive import _csv_line, _fmt
 from .config import ConfigError, RunConfig
 from .diosi import DiosiParams, HybridParams, diosi_ensemble, hybrid_ensemble
 from .errors import CollapsimError
@@ -40,10 +41,6 @@ def build_hamiltonian(cfg, grid):
     return HamiltonianSpec(grid, v, kinetic=cfg.kinetic)
 
 
-def _fmt(value):
-    return f"{value:.17g}"
-
-
 def _write_text(path, text, created):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -68,10 +65,9 @@ def run_simulate(cfg, out_dir, workers=None):
             lines = ["x_i,x_j,re,im\r\n"]
             for i in range(grid.n_points):
                 for j in range(grid.n_points):
-                    lines.append(",".join([
+                    lines.append(_csv_line([
                         _fmt(grid.x[i]), _fmt(grid.x[j]),
-                        _fmt(rho.entries[i, j].real),
-                        _fmt(rho.entries[i, j].imag)]) + "\r\n")
+                        _fmt(rho.entries[i, j].real), _fmt(rho.entries[i, j].imag)]))
             path = os.path.join(out_dir, "master_rho.csv")
             _write_text(path, "".join(lines), created)
             return created

@@ -8,7 +8,7 @@ function of (config, seed).
 """
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -69,8 +69,6 @@ class RunConfig:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.seed is None:
             raise ConfigError("seed is mandatory")
-        if self.model in ("grw", "master") or self.alpha is not None:
-            pass
         if self.model == "hybrid" or (self.mu is not None and self.lam is not None):
             if self.mu is None or self.lam is None:
                 raise ConfigError("hybrid runs need both mu and lambda")

@@ -1,36 +1,34 @@
-"""The stochastic Trotter product: one batched engine, two processes over it.
+"""The stochastic Trotter product: one batched engine, three processes over it.
 
 The paper's stochastic Trotter formula is an alternating product of
-unitary factors exp(-i tau H) and exact Gaussian collapse flows
+unitary factors exp(-i tau H) and multiplicative collapse factors.
+``_trotter_product`` applies it to a batch of trajectories held as an
+(N, n) amplitude array, worked through in row blocks of about 2^14
+amplitudes.  Each row has its own unitary durations tau_r, split into
+ceil(tau_r / cap) equal split steps when V and the kinetic term are both
+present (a substep goes only to the rows that still need it), and its own
+number of factors before each sample time.  The collapse factor is a value
+the spec passes in: it acts in place on the evolved rows of factor k and
+gives back their raw squared norms, which the engine keeps for the flash
+records.  At a sample time a snapshot hook records the raw squared norm
+(the weight) and, on a copy after the residual unitary, the normalized
+state and the boundary mass.  Every operation acts row by row (elementwise
+products, FFTs along the last axis, per-row sums and per-row random
+streams), so a row's bytes do not depend on its batch or its block, and a
+single trajectory is a batch of one.
 
-    exp(sqrt(lam) x dxi - lam x^2 dt)
-
-over the cells of a deterministic mesh of width dt.  ``_trotter_product``
-applies it to a batch of trajectories held as an (N, n) amplitude array,
-worked through in row blocks of about 2^14 amplitudes.  Each row has its
-own factors: unitary durations tau_r, split into ceil(tau_r / cap) equal
-split steps when V and the kinetic term are both present (a substep goes
-only to the rows that still need it), flow increments dxi_r, and a number
-of factors before each sample time.  At a sample time a snapshot hook
-records the raw squared norm (the weight) and, on a copy after the
-residual unitary, the normalized state and the boundary mass; the raw
-squared norm after every factor is kept for the flash records.  Every
-operation acts row by row (elementwise products, FFTs along the last
-axis, per-row sums), so a row's bytes do not depend on its batch or its
-block, and a single trajectory is a batch of one.
-
-Two processes are thin specs over the engine:
+Three processes are thin specs over the engine:
 
 * Diosi, the linear diffusion under the reference measure,
 
       d psi = -i H psi dt + sqrt(lam) x psi dxi - (lam/2) x^2 psi dt,
 
   integrated by deterministic-step splitting: every factor has
-  tau = dt = 1/R and the increment of Wiener cell k at resolution R.  The
-  squared norm of the raw state is a martingale (E ||psi_t||^2 = 1 at
-  every resolution, since the exact flow has unit mean-square gain
-  pointwise), and reweighting an ensemble by the raw squared norms
-  produces the physical collapse statistics.
+  tau = dt = 1/R and is the exact flow exp(sqrt(lam) x dxi - lam x^2 dt)
+  over Wiener cell k at resolution R.  The squared norm of the raw state
+  is a martingale (E ||psi_t||^2 = 1 at every resolution, since the exact
+  flow has unit mean-square gain pointwise), and reweighting an ensemble
+  by the raw squared norms produces the physical collapse statistics.
 
 * the hybrid process: factor k is the unitary of random duration
   X_{k+1}/mu followed by the flow over the deterministic cell
@@ -40,6 +38,12 @@ Two processes are thin specs over the engine:
   kept literal here.  As mu grows with mu * alpha / 2 = lam fixed, the
   hybrid reproduces the jump process in law and converges to the
   diffusion process.
+
+* the GRW jump process (``grw``): factor k is the unitary up to jump time
+  T_k followed by a Gaussian hit whose center is drawn from the evolved
+  row, after which the row is renormalized.  A hit at center y is the flow
+  over a cell of length 1/mu with dxi = 2 sqrt(lam) y / mu, times a
+  per-row constant.
 """
 
 import math
@@ -52,7 +56,7 @@ from . import rng as rngmod
 from .errors import DegenerateStateError, InvalidParameterError, StepTooLargeError
 from .grid import (
     _EXP_OVERFLOW_LIMIT,
-    DEFAULT_UNITARY_SUBSTEP,
+    BOUNDARY_MASS_LIMIT,
     NORMALIZED,
     WaveFunction,
     _apply_split_step,
@@ -60,9 +64,7 @@ from .grid import (
     _check_flow_budget,
     _require_positive,
     _split_phases,
-)
-from .grw import (
-    BOUNDARY_MASS_LIMIT,
+    _substep_cap,
     _validate_sample_times,
     _validate_substep,
 )
@@ -143,14 +145,14 @@ class HybridParams:
 class _Batch(NamedTuple):
     """Output for N rows, T sample times and K factors.
 
-    The engine fills the first four fields; the hybrid spec adds the flash
-    times and centers and the number of flashes of each row (entries past a
-    row's flashes are padding).
+    The engine fills the first four fields; the specs with jumps add the
+    flash times and centers and the number of flashes of each row (entries
+    past a row's flashes are padding).
     """
 
     weights: np.ndarray  # (N, T) raw squared norms at the sample times
     states: np.ndarray  # (N, T, n) normalized snapshots, or None
-    flags: np.ndarray  # (N,) boundary mass above the limit at some snapshot
+    flags: np.ndarray  # (N, C) boundary mass above the limit at check c (any flags a row)
     flash_norms: np.ndarray  # (N, K) raw squared norm after factor k, or None
     flash_times: np.ndarray = None  # (N, K)
     flash_centers: np.ndarray = None  # (N, K)
@@ -200,81 +202,91 @@ def _unitary_rows(amps, h, tau, cap, phases=None, fft_workers=None):
     return amps
 
 
-def _flow_rows(amps, dxi, sqrt_lam_x, damp, bound, buf=None):
-    """Multiply row r by exp(sqrt(lam) x dxi_r - lam dt x^2), in place.
+def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
+    """The exact collapse flow over mesh cells of length dt, as an engine factor.
 
+    Factor k multiplies row r by exp(sqrt(lam) x dxi - lam dt x^2), where dxi
+    is ``increments(k0, k1)[r, k - k0]``, fetched for cells k0 <= k < k1 at
+    most ``_MAX_INCREMENT_ELEMENTS`` at a time and never past ``n_cells``.
+    Returns the raw squared norms after the flow when ``norms``, else None.
     Raises StepTooLargeError when a realized exponent would overflow; its
-    maximum over x is dxi_r^2 / (4 dt), so rows with dxi_r^2 <= ``bound``
-    = 4 dt * limit need no look at the exponent.
+    maximum over x is dxi^2 / (4 dt), so rows with dxi^2 <= 4 dt * limit
+    need no look at the exponent.
     """
-    e = np.multiply(dxi[:, None], sqrt_lam_x[None, :], out=buf)
-    e -= damp
-    if dxi.size and np.max(dxi * dxi) > bound and e.max() > _EXP_OVERFLOW_LIMIT:
-        raise StepTooLargeError("collapse-flow exponent would overflow")
-    np.exp(e, out=e)
-    amps *= e
+    sqrt_lam_x = math.sqrt(lam) * grid.x
+    damp = lam * dt * grid.x * grid.x
+    bound = 4.0 * dt * _EXP_OVERFLOW_LIMIT
+    buf = np.empty((rows, grid.n_points))
+    chunk = max(1, _MAX_INCREMENT_ELEMENTS // max(rows, 1))
+    held = [0, 0, None]  # cells k0 .. k1 and their increments
+
+    def flow(amps, act, k):
+        if not held[0] <= k < held[1]:
+            held[:2] = k, min(n_cells, k + chunk)
+            held[2] = increments(*held[:2])
+        dxi = held[2][act, k - held[0]]
+        e = np.multiply(dxi[:, None], sqrt_lam_x[None, :], out=buf[:dxi.size])
+        e -= damp
+        if dxi.size and np.max(dxi * dxi) > bound and e.max() > _EXP_OVERFLOW_LIMIT:
+            raise StepTooLargeError("collapse-flow exponent would overflow")
+        np.exp(e, out=e)
+        amps *= e
+        return _norm2_rows(amps, grid.dx) if norms else None
+
+    return flow
 
 
-def _trotter_product(phi0, h, lam, cell_dt, counts, tau, increments, residual=None,
-                     cap=None, store_states=True, flash_norms=False, fft_workers=None):
+def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
+                     store_states=True, flash_norms=False, fft_workers=None):
     """The Trotter product on one row block of copies of phi0.
 
     Row r applies factors k = 0, 1, ...: the unitary of duration tau (a
     float for every factor of every row, else ``tau[r, k]``) and then the
-    exact flow over a mesh cell of length ``cell_dt`` with increment
-    ``increments(k0, k1)[r, k - k0]``.  Snapshot j follows the first
-    ``counts[r, j]`` factors (counts non-decreasing in j): the weight is the
-    raw squared norm there; the state is normalized after the unitary of
-    duration ``residual[r, j]`` on a copy (none when residual is None), and
-    the boundary flag is taken from that state whenever it is formed
-    (always when residual is None).  Returns a _Batch.
+    collapse factor ``factor(amps, act, k)``, which acts in place on the
+    evolved rows ``act`` of the block (a slice or an index array) and
+    returns their raw squared norms, recorded when ``flash_norms``.
+    Snapshot j follows the first ``counts[r, j]`` factors (counts
+    non-decreasing in j): the weight is the raw squared norm there; the
+    state is normalized after the unitary of duration ``residual[r, j]`` on
+    a copy (none when residual is None), and the boundary flag of check j
+    is taken from that state whenever it is formed (always when residual
+    is None).  Returns a _Batch.
     """
     grid = phi0.grid
     rows, n_snap = counts.shape
-    n, dx, x = grid.n_points, grid.dx, grid.x
-    n_factors = tau.shape[1] if flash_norms else 0
+    n, dx = grid.n_points, grid.dx
     weights = np.empty((rows, n_snap))
     states = np.empty((rows, n_snap, n), dtype=np.complex128) if store_states else None
-    flags = np.zeros(rows, dtype=bool)
-    norms = np.zeros((rows, n_factors)) if flash_norms else None
+    flags = np.zeros((rows, n_snap), dtype=bool)
+    norms = np.zeros((rows, tau.shape[1])) if flash_norms else None
     if rows == 0:
         return _Batch(weights, states, flags, norms)
 
-    sqrt_lam_x = math.sqrt(lam) * x
-    damp = lam * cell_dt * x * x
-    bound = 4.0 * cell_dt * _EXP_OVERFLOW_LIMIT
     shared_tau = isinstance(tau, float)
     phases = _split_phases(h, tau) if shared_tau else None
     amps = np.tile(phi0.amplitudes, (rows, 1))
-    buf = np.empty((rows, n))
-    chunk = max(1, _MAX_INCREMENT_ELEMENTS // rows)
     done = np.zeros(rows, dtype=np.int64)
     for j in range(n_snap):
         target = counts[:, j]
         lockstep = done.min() == done.max() and target.min() == target.max()
-        k_end = int(target.max())
-        for c0 in range(int(done.min()), k_end, chunk):
-            c1 = min(k_end, c0 + chunk)
-            dxi = increments(c0, c1)
-            for k in range(c0, c1):
-                act = slice(None) if lockstep else np.flatnonzero((done <= k) & (k < target))
-                sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k],
-                                    cap, phases, fft_workers)
-                _flow_rows(sub, dxi[act, k - c0], sqrt_lam_x, damp, bound,
-                           buf if lockstep else None)
-                if flash_norms:
-                    norms[act, k] = _norm2_rows(sub, dx)
-                if lockstep:
-                    amps = sub
-                else:
-                    amps[act] = sub
+        for k in range(int(done.min()), int(target.max())):
+            act = slice(None) if lockstep else np.flatnonzero((done <= k) & (k < target))
+            sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k],
+                                cap, phases, fft_workers)
+            got = factor(sub, act, k)
+            if flash_norms:
+                norms[act, k] = got
+            if lockstep:
+                amps = sub
+            else:
+                amps[act] = sub
         done = target
         weights[:, j] = _norm2_rows(amps, dx)
         if residual is not None and not store_states:
             continue
         snap = amps if residual is None else _unitary_rows(
             amps.copy(), h, residual[:, j], cap, fft_workers=fft_workers)
-        flags |= _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
+        flags[:, j] = _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
         if store_states:
             w = _norm2_rows(snap, dx)
             if not np.all(w > 1e-300):
@@ -290,6 +302,27 @@ def _in_blocks(n_rows, n_points, block):
     if len(parts) == 1:
         return parts[0]
     return _Batch(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+
+
+def _schedule(jump_times, taus, times, limits):
+    """Factor counts, unitary durations and residuals of per-row jump schedules.
+
+    ``jump_times`` (N, M) holds row r's jump times, increasing and padded
+    with inf, and ``taus`` (N, M) the duration of the unitary before each
+    jump.  Factor k of row r comes before snapshot j when its jump time is
+    at most ``limits[j]``, so a jump at a sample time precedes that
+    snapshot.  Returns counts (N, T), the taus of the first K factors, K the
+    most factors any row runs, and the residual (N, T), the unitary from a
+    row's last jump (or 0) to ``times[j]``.
+    """
+    counts = np.zeros((jump_times.shape[0], len(limits)), dtype=np.int64)
+    for j, lim in enumerate(limits):
+        counts[:, j] = np.count_nonzero(jump_times <= lim, axis=1)
+    # the time of each row's last jump before snapshot j, 0 before the first
+    last = np.take_along_axis(
+        np.hstack([np.zeros((len(jump_times), 1)), jump_times]), counts, axis=1)
+    residual = np.maximum(0.0, np.asarray(times) - last)
+    return counts, taus[:, :int(counts.max(initial=0))], residual
 
 
 def _snap_steps(sample_times, resolution):
@@ -317,10 +350,12 @@ def _diosi_arrays(phi0, h, p, seed, indices, store_states=True, fft_workers=None
 
     def block(lo, hi):
         paths = [rngmod.WienerPath(seed, i, cells_per_unit=res) for i in indices[lo:hi]]
-        return _trotter_product(
-            phi0, h, p.lam, dt, np.tile(steps, (hi - lo, 1)), dt,
+        flow = _flow_factor(
+            phi0.grid, p.lam, dt,
             lambda k0, k1: np.array([path.cell_increments(k0, k1) for path in paths]),
-            store_states=store_states, fft_workers=fft_workers)
+            int(steps.max(initial=0)), hi - lo)
+        return _trotter_product(phi0, h, flow, np.tile(steps, (hi - lo, 1)), dt,
+                                store_states=store_states, fft_workers=fft_workers)
 
     return _in_blocks(len(indices), phi0.grid.n_points, block)
 
@@ -360,25 +395,20 @@ def _hybrid_arrays(phi0, h, p, seed, indices, store_states=True):
         for r, w in enumerate(drawn):
             waits[r, :w.size] = w
         jump_times = np.cumsum(waits * dt_cell, axis=1)
-    counts = np.zeros((n_rows, limits.size), dtype=np.int64)
-    for j, lim in enumerate(limits):
-        counts[:, j] = np.count_nonzero(jump_times <= lim, axis=1)
+    counts, taus, residual = _schedule(jump_times, waits * dt_cell, times, limits)
     n_flashes = counts.max(axis=1, initial=0)
-    n_factors = int(n_flashes.max(initial=0))
-    taus = waits[:, :n_factors] * dt_cell
+    n_factors = taus.shape[1]
     dxis = np.zeros((n_rows, n_factors))
     for r, idx in enumerate(indices):
         path = rngmod.WienerPath(seed, idx, cells_per_unit=base)
         dxis[r, :n_flashes[r]] = path.coarse_increments(p.mu, 0, n_flashes[r])
-    last = np.take_along_axis(jump_times, np.maximum(counts - 1, 0), axis=1)
-    residual = np.maximum(0.0, times - np.where(counts > 0, last, 0.0))
-    cap = DEFAULT_UNITARY_SUBSTEP if p.unitary_substep is None else float(p.unitary_substep)
+    cap = _substep_cap(p.unitary_substep)
 
     def block(lo, hi):
-        return _trotter_product(
-            phi0, h, p.lam, dt_cell, counts[lo:hi], taus[lo:hi],
-            lambda k0, k1: dxis[lo:hi, k0:k1], residual[lo:hi], cap,
-            store_states=store_states, flash_norms=True)
+        flow = _flow_factor(phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[lo:hi, k0:k1],
+                            n_factors, hi - lo, norms=True)
+        return _trotter_product(phi0, h, flow, counts[lo:hi], taus[lo:hi], residual[lo:hi],
+                                cap, store_states=store_states, flash_norms=True)
 
     return _in_blocks(n_rows, phi0.grid.n_points, block)._replace(
         flash_times=jump_times[:, :n_factors],
@@ -398,7 +428,7 @@ def _records(seed, indices, times, grid, batch, record_flow_cells=False):
         out.append(TrajectoryRecord(
             seed=int(seed), index=int(idx), times=times, states=states,
             weights=batch.weights[row].copy(), flashes=flashes,
-            boundary_flag=bool(batch.flags[row]),
+            boundary_flag=bool(batch.flags[row].any()),
             flow_cells=tuple(range(k)) if record_flow_cells else ()))
     return out
 

@@ -36,6 +36,9 @@ _EXP_OVERFLOW_LIMIT = 700.0
 # Default cap on the duration of a single split step when V != 0.
 DEFAULT_UNITARY_SUBSTEP = 1.0 / 128.0
 
+# Boundary mass above which a trajectory is flagged (see boundary_mass).
+BOUNDARY_MASS_LIMIT = 1e-6
+
 
 def _require_positive(**values):
     """Raise InvalidParameterError unless every value is positive and finite."""
@@ -43,6 +46,25 @@ def _require_positive(**values):
         if not (0 < value < math.inf):
             raise InvalidParameterError(
                 f"{name} must be positive and finite, got {value!r}")
+
+
+def _validate_substep(unitary_substep):
+    if unitary_substep is not None:
+        _require_positive(unitary_substep=unitary_substep)
+
+
+def _substep_cap(unitary_substep):
+    """The split-step cap of a process: its unitary_substep, else the default."""
+    return DEFAULT_UNITARY_SUBSTEP if unitary_substep is None else float(unitary_substep)
+
+
+def _validate_sample_times(sample_times, t_max):
+    times = tuple(float(t) for t in sample_times)
+    if any(t < 0 or t > t_max + 1e-12 for t in times):
+        raise InvalidParameterError("sample_times must lie in [0, t_max]")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise InvalidParameterError("sample_times must be strictly increasing")
+    return times
 
 
 @dataclass(frozen=True)
@@ -133,12 +155,6 @@ class HamiltonianSpec:
     def zero(cls, grid):
         """H = 0: no kinetic term, no potential."""
         return cls(grid, np.zeros(grid.n_points), kinetic=False)
-
-    @classmethod
-    def with_potential(cls, grid, v, kinetic=True):
-        """Potential from a callable or array of values at grid points."""
-        values = v(grid.x) if callable(v) else np.asarray(v, dtype=float)
-        return cls(grid, np.array(values, dtype=float), kinetic=kinetic)
 
 
 def cosine_potential(grid, amplitude=0.5, wavenumber=1.0):

@@ -1,4 +1,4 @@
-"""The discrete jump collapse process.
+"""The discrete jump collapse process, as a spec over the Trotter engine.
 
 Unitary Schrodinger evolution is interrupted at exponential waiting times
 (intensity mu) by Gaussian hits of inverse squared width alpha.  The hit
@@ -6,6 +6,14 @@ center is drawn from the smeared position density of the evolved state,
 which is sampled exactly in two stages: a grid position from |psi|^2 dx,
 plus independent Normal(0, 1/(2 alpha)) noise.  The two-stage law equals
 the convolution density by construction.
+
+Trajectories run on ``diosi._trotter_product``: factor k is the unitary
+from jump T_{k-1} to jump T_k followed by the hit factor, which draws each
+row's center from that row's evolved state on the row's own
+ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams, multiplies by
+(alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2), records the raw squared norm
+and renormalizes.  Snapshots are the normalized states after the residual
+unitary from the last jump; the weights are identically 1.
 """
 
 import math
@@ -14,33 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .diosi import _in_blocks, _norm2_rows, _records, _schedule, _trotter_product
 from .errors import DegenerateStateError, InvalidParameterError
 from .grid import (
+    BOUNDARY_MASS_LIMIT,
     NORMALIZED,
+    _boundary_masses,
     _require_positive,
-    boundary_mass,
-    evolve_unitary,
-    gaussian_hit,
-    norm2,
-    normalize,
+    _substep_cap,
+    _validate_sample_times,
+    _validate_substep,
 )
-from .records import FlashEvent, TrajectoryRecord
-
-BOUNDARY_MASS_LIMIT = 1e-6
-
-
-def _validate_substep(unitary_substep):
-    if unitary_substep is not None:
-        _require_positive(unitary_substep=unitary_substep)
-
-
-def _validate_sample_times(sample_times, t_max):
-    times = tuple(float(t) for t in sample_times)
-    if any(t < 0 or t > t_max + 1e-12 for t in times):
-        raise InvalidParameterError("sample_times must lie in [0, t_max]")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise InvalidParameterError("sample_times must be strictly increasing")
-    return times
 
 
 @dataclass(frozen=True)
@@ -98,27 +90,107 @@ def flash_density(psi, alpha, y):
     return float(vals[0]) if np.isscalar(y) or np.ndim(y) == 0 else vals
 
 
+def _sample_centers(amps, grid, alpha, pos_rngs, noise_rngs):
+    """One hit center per row of (m, n) amplitudes, row r on its own streams.
+
+    Two-stage exact sampler: a grid point X* from the discrete density
+    |psi_j|^2 dx (inverse CDF on one uniform of pos_rngs[r]; the intra-cell
+    position is the cell center), then Y = X* + G with G ~ Normal(0,
+    1/(2 alpha)) drawn from noise_rngs[r].
+    """
+    cdf = np.cumsum(np.abs(amps) ** 2, axis=1)
+    if not np.all(cdf[:, -1] * grid.dx > 1e-300):
+        raise DegenerateStateError("cannot sample the flash center of a vanishing state")
+    u = np.array([g.random() for g in pos_rngs]) * cdf[:, -1]
+    j = np.minimum(np.count_nonzero(cdf <= u[:, None], axis=1), grid.n_points - 1)
+    noise = np.array([g.standard_normal() for g in noise_rngs])
+    return grid.x[j] + noise * math.sqrt(0.5 / alpha)
+
+
 def sample_flash_center(psi, alpha, rng, noise_rng=None):
     """Draw a hit center with density flash_density(psi, alpha, .).
 
-    Two-stage exact sampler: a grid point X* from the discrete density
-    |psi_j|^2 dx (inverse CDF; intra-cell position is the cell center),
-    then Y = X* + G with G ~ Normal(0, 1/(2 alpha)).  ``noise_rng`` lets
-    callers keep the position and noise draws on separate streams;
+    The row sampler of the hit factor on a batch of one.  ``noise_rng``
+    lets callers keep the position and noise draws on separate streams;
     it defaults to ``rng``.
     """
     if alpha <= 0:
         raise InvalidParameterError("alpha must be positive")
-    weights = np.abs(psi.amplitudes) ** 2
-    total = weights.sum() * psi.grid.dx
-    if not (total > 1e-300):
-        raise DegenerateStateError("cannot sample the flash center of a vanishing state")
-    cdf = np.cumsum(weights)
-    u = rng.random() * cdf[-1]
-    j = int(np.searchsorted(cdf, u, side="right"))
-    j = min(j, psi.grid.n_points - 1)
-    g = (noise_rng or rng).standard_normal() * math.sqrt(0.5 / alpha)
-    return float(psi.grid.x[j] + g)
+    return float(_sample_centers(psi.amplitudes[None, :], psi.grid, alpha, [rng],
+                                 [noise_rng or rng])[0])
+
+
+def _hit_factor(grid, alpha, seed, indices, n_factors):
+    """The Gaussian hit as an engine factor for the rows ``indices`` of one block.
+
+    Returns (hit, centers, flags): the factor, the (rows, n_factors) centers
+    it draws, and the per-row flag it ORs with the boundary mass after
+    every hit.
+    """
+    pos = [rngmod.stream(seed, i, rngmod.ROLE_FLASH_POSITION) for i in indices]
+    noise = [rngmod.stream(seed, i, rngmod.ROLE_FLASH_NOISE) for i in indices]
+    rows = np.arange(len(pos))
+    centers = np.zeros((len(pos), n_factors))
+    flags = np.zeros(len(pos), dtype=bool)
+    scale = (alpha / np.pi) ** 0.25
+
+    def hit(amps, act, k):
+        r = rows[act]
+        y = _sample_centers(amps, grid, alpha, [pos[i] for i in r], [noise[i] for i in r])
+        centers[r, k] = y
+        amps *= scale * np.exp(-0.5 * alpha * (grid.x - y[:, None]) ** 2)
+        n2 = _norm2_rows(amps, grid.dx)
+        if not np.all(n2 > 1e-300):
+            raise DegenerateStateError("cannot normalize a numerically vanishing state")
+        amps /= np.sqrt(n2)[:, None]
+        flags[r] |= _boundary_masses(amps, grid) > BOUNDARY_MASS_LIMIT
+        return n2
+
+    return hit, centers, flags
+
+
+def _grw_records(phi0, h, p, seed, lo, hi):
+    """Records of the jump trajectories with indices lo .. hi-1, in row blocks.
+
+    Row i takes its jump times from sample_jump_times on its
+    ROLE_JUMP_TIMES stream; every jump up to t_max is a factor, including
+    those after the last sample time, whose flashes are recorded too.
+    """
+    if phi0.label != NORMALIZED:
+        raise InvalidParameterError("phi0 must be normalized")
+    indices = range(lo, hi)
+    jumps = [sample_jump_times(p.mu, p.t_max,
+                               rngmod.stream(seed, i, rngmod.ROLE_JUMP_TIMES))
+             for i in indices]
+    width = max(map(len, jumps), default=0)
+    jump_times = np.full((len(jumps), width), np.inf)
+    taus = np.zeros((len(jumps), width))
+    for r, t in enumerate(jumps):
+        jump_times[r, :t.size] = t
+        taus[r, :t.size] = np.diff(t, prepend=0.0)
+    times = p.sample_times
+    n_times = len(times)
+    # one more column, after every jump and with no residual unitary, runs the
+    # jumps that follow the last sample time; its snapshot is dropped
+    ext = times + (np.finfo(float).max,)
+    counts, taus, residual = _schedule(jump_times, taus, ext, ext)
+    residual[:, -1] = 0.0
+    n_factors = taus.shape[1]
+
+    def block(b0, b1):
+        hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, seed, indices[b0:b1],
+                                              n_factors)
+        batch = _trotter_product(phi0, h, hit, counts[b0:b1], taus[b0:b1],
+                                 residual[b0:b1], _substep_cap(p.unitary_substep),
+                                 flash_norms=True)
+        return batch._replace(
+            weights=np.ones((b1 - b0, n_times)), states=batch.states[:, :n_times],
+            flags=np.column_stack([batch.flags[:, :n_times], hit_flags]),
+            flash_centers=centers)
+
+    batch = _in_blocks(len(jumps), phi0.grid.n_points, block)._replace(
+        flash_times=jump_times[:, :n_factors], n_flashes=counts[:, -1])
+    return _records(seed, indices, times, phi0.grid, batch)
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):
@@ -127,62 +199,15 @@ def grw_trajectory(phi0, h, p, seed, index=0):
     The state evolves unitarily between jumps; at each jump time the
     center is sampled from the flash density of the *evolved* (pre-hit)
     state, the Gaussian hit is applied raw, and the state is renormalized.
-    Snapshots at sample_times are the normalized states (weight 1).
+    Snapshots at sample_times are the normalized states (weight 1); a jump
+    at a sample time comes before that snapshot.  This is a batch of one:
+    row ``index`` of any ensemble is the same record bit for bit.
     """
-    if phi0.label != NORMALIZED:
-        raise InvalidParameterError("phi0 must be normalized")
-    jump_rng = rngmod.stream(seed, index, rngmod.ROLE_JUMP_TIMES)
-    pos_rng = rngmod.stream(seed, index, rngmod.ROLE_FLASH_POSITION)
-    noise_rng = rngmod.stream(seed, index, rngmod.ROLE_FLASH_NOISE)
-    jumps = sample_jump_times(p.mu, p.t_max, jump_rng)
-
-    state = phi0
-    t_cur = 0.0
-    flagged = False
-    flashes = []
-    snaps = []
-    times = p.sample_times
-    si = 0
-
-    def advance(target):
-        nonlocal state, t_cur
-        if target > t_cur:
-            state = evolve_unitary(state, h, target - t_cur, p.unitary_substep)
-            t_cur = target
-
-    for t_jump in jumps:
-        # snapshots strictly before this jump; at a tie the hit comes first,
-        # matching the convention that the post-collapse state holds at T_n
-        while si < len(times) and times[si] < t_jump:
-            advance(times[si])
-            snaps.append(normalize(state))
-            si += 1
-        advance(float(t_jump))
-        center = sample_flash_center(state, p.alpha, pos_rng, noise_rng)
-        hit = gaussian_hit(state, center, p.alpha)
-        hit_n2 = norm2(hit)
-        flashes.append(FlashEvent(float(t_jump), center, hit_n2))
-        state = normalize(hit)
-        flagged = flagged or boundary_mass(state) > BOUNDARY_MASS_LIMIT
-    while si < len(times):
-        advance(times[si])
-        snaps.append(normalize(state))
-        si += 1
-    flagged = flagged or any(boundary_mass(s) > BOUNDARY_MASS_LIMIT for s in snaps)
-
-    return TrajectoryRecord(
-        seed=int(seed),
-        index=int(index),
-        times=times,
-        states=tuple(snaps),
-        weights=np.ones(len(times)),
-        flashes=tuple(flashes),
-        boundary_flag=flagged,
-    )
+    return _grw_records(phi0, h, p, seed, index, index + 1)[0]
 
 
 def grw_ensemble(phi0, h, p, seed, n_trajectories, workers=None):
-    """Independent trajectories with indices 0 .. n-1; order-deterministic."""
-    from .parallel import run_indexed
+    """Independent trajectories with indices 0 .. n-1; one engine call per worker."""
+    from .parallel import run_sliced
 
-    return run_indexed(grw_trajectory, (phi0, h, p, seed), n_trajectories, workers)
+    return run_sliced(_grw_records, (phi0, h, p, seed), n_trajectories, workers)

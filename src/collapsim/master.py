@@ -143,6 +143,22 @@ def evolve_diosi_master(rho0, h, lam, t, dt, validate=True):
     return _evolve(rho0, h, rates, t, dt, validate)
 
 
+def _stacked(ensemble):
+    """(grid, amplitudes (N, n) as complex128, weights (N,)) of an ensemble."""
+    if ensemble.n == 0:
+        raise InvalidParameterError("empty ensemble")
+    grid = ensemble.states[0].grid
+    if any(s.grid != grid for s in ensemble.states):
+        raise GridMismatchError("ensemble states live on different grids")
+    amps = np.array([s.amplitudes for s in ensemble.states], dtype=np.complex128)
+    return grid, amps, np.asarray(ensemble.weights, dtype=float)
+
+
+def _weighted_outer(amps, w):
+    """(1/N) sum_i w_i amps_i amps_i^H as one matmul."""
+    return (amps.T * w) @ amps.conj() / len(w)
+
+
 def ensemble_density(ensemble):
     """Monte Carlo density matrix (1/N) sum_i w_i |phi_i><phi_i|.
 
@@ -150,15 +166,8 @@ def ensemble_density(ensemble):
     (the average of raw outer products under the reference measure); for
     jump ensembles all weights are 1.  Hermitian by construction.
     """
-    if ensemble.n == 0:
-        raise InvalidParameterError("empty ensemble")
-    grid = ensemble.states[0].grid
-    mat = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)
-    for w, s in zip(ensemble.weights, ensemble.states):
-        if s.grid != grid:
-            raise GridMismatchError("ensemble states live on different grids")
-        mat += w * np.outer(s.amplitudes, s.amplitudes.conj())
-    return DensityMatrix(grid, mat / ensemble.n)
+    grid, amps, w = _stacked(ensemble)
+    return DensityMatrix(grid, _weighted_outer(amps, w))
 
 
 def density_max_gap(rho_hat, se, reference):
@@ -174,19 +183,15 @@ def density_max_gap(rho_hat, se, reference):
 
 
 def ensemble_density_se(ensemble):
-    """Entrywise standard error of ensemble_density (complex parts pooled)."""
-    grid = ensemble.states[0].grid
-    n = grid.n_points
-    mean = np.zeros((n, n), dtype=np.complex128)
-    sq_re = np.zeros((n, n))
-    sq_im = np.zeros((n, n))
-    for w, s in zip(ensemble.weights, ensemble.states):
-        term = w * np.outer(s.amplitudes, s.amplitudes.conj())
-        mean += term
-        sq_re += term.real**2
-        sq_im += term.imag**2
-    big = ensemble.n
-    mean /= big
-    var = (sq_re / big - mean.real**2) + (sq_im / big - mean.imag**2)
+    """Entrywise standard error of ensemble_density (complex parts pooled).
+
+    The variance of the term w_i phi_i(x) conj(phi_i(y)), real and imaginary
+    parts together, is E[w^2 |phi(x)|^2 |phi(y)|^2] - |rho(x, y)|^2.
+    """
+    _, amps, w = _stacked(ensemble)
+    big = len(w)
+    mean = _weighted_outer(amps, w)
+    dens = amps.real**2 + amps.imag**2
+    var = (dens.T * (w * w)) @ dens / big - (mean.real**2 + mean.imag**2)
     var = np.maximum(var, 0.0) * big / max(big - 1, 1)
     return np.sqrt(var / big)

@@ -1,9 +1,10 @@
-"""Deterministic worker-pool helper for per-trajectory simulation.
+"""Deterministic worker pool for batched trajectory simulation.
 
 Each trajectory derives all of its randomness from (seed, index), so the
 results are identical for any worker count; only wall time changes.  The
-pool splits the index range into one contiguous slice per worker, and the
-caller receives records ordered by index regardless of completion order.
+pool splits the index range into one contiguous slice per worker, each
+worker runs one batch over its slice, and the caller receives records
+ordered by index regardless of completion order.
 """
 
 import os
@@ -23,10 +24,6 @@ def worker_count(workers=None):
         except ValueError:
             return 1
     return 1
-
-
-def _chunk(fn, fixed_args, lo, hi):
-    return [fn(*fixed_args, index=i) for i in range(lo, hi)]
 
 
 def run_sliced(fn, fixed_args, n, workers=None):
@@ -50,7 +47,3 @@ def run_sliced(fn, fixed_args, n, workers=None):
             out.extend(fut.result())
     return out
 
-
-def run_indexed(fn, fixed_args, n, workers=None):
-    """Run fn(*fixed_args, index=i) for i in range(n), in index order."""
-    return run_sliced(_chunk, (fn, fixed_args), n, workers)

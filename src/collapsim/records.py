@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleMismatchError
-from .grid import WaveFunction, norm2
+from .grid import WaveFunction
 
 
 def _time_index(times, t):
@@ -76,18 +76,6 @@ class WeightedEnsemble:
 
     def mean_weight(self):
         return float(self.weights.mean())
-
-    def mean_weight_se(self):
-        n = self.n
-        if n < 2:
-            return float("inf")
-        return float(self.weights.std(ddof=1) / np.sqrt(n))
-
-    def effective_sample_size(self):
-        w = self.weights
-        s = w.sum()
-        q = (w * w).sum()
-        return float(s * s / q) if q > 0 else 0.0
 
     def expectation(self, f):
         """(mean, standard error) of sum w_i f(state_i) / N."""

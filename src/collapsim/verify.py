@@ -17,10 +17,10 @@ import numpy as np
 import scipy.fft
 
 from . import rng as rngmod
-from .diosi import HybridParams, _diosi_arrays, _hybrid_arrays
+from .diosi import HybridParams, _diosi_arrays, _hybrid_arrays, _in_blocks, _trotter_product
 from .errors import InvalidParameterError
 from .grid import NORMALIZED, WaveFunction, inner, norm2, nyquist_mass_fraction
-from .grw import gaussian_hit, sample_flash_center
+from .grw import _hit_factor
 from .stats import effective_sample_size, ks_2samp
 from . import grid as gridmod
 
@@ -199,15 +199,13 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
             name="flash_vs_increment", statistic=0.0, threshold=1.0,
             n_samples=n_samples, details={**report_details, "status": "vacuous"})
 
-    ys = np.empty((n_samples, n_jumps))
-    for i in range(n_samples):
-        pos = rngmod.stream(seed, i, rngmod.ROLE_FLASH_POSITION)
-        noi = rngmod.stream(seed, i, rngmod.ROLE_FLASH_NOISE)
-        state = phi0
-        for j in range(n_jumps):
-            y = sample_flash_center(state, alpha, pos, noi)
-            ys[i, j] = y
-            state = gridmod.normalize(gaussian_hit(state, y, alpha))
+    def grw_block(lo, hi):  # n_jumps hits per row, H = 0
+        hit, centers, _ = _hit_factor(grid, alpha, seed, range(lo, hi), n_jumps)
+        batch = _trotter_product(phi0, h0, hit, np.full((hi - lo, 1), n_jumps), 0.0,
+                                 store_states=False)
+        return batch._replace(flash_centers=centers)
+
+    ys = _in_blocks(n_samples, grid.n_points, grw_block).flash_centers
 
     p_hyb = HybridParams(
         lam=lam, mu=mu, t_max=n_jumps / mu, sample_times=(n_jumps / mu,),

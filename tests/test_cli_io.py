@@ -1,6 +1,7 @@
 """Config parsing, archive round trips, CSV exports, CLI determinism."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +28,19 @@ n_points = 128
 t_max = 0.5
 sample_times = 0.25, 0.5
 n_trajectories = 12
+"""
+
+GRW_CFG = """
+model = grw
+seed = 5
+mu = 4
+alpha = 0.5
+x_min = -16
+x_max = 16
+n_points = 128
+t_max = 0.5
+sample_times = 0.25, 0.5
+n_trajectories = 4
 """
 
 
@@ -126,6 +140,41 @@ class TestArchive:
         assert any(len(r.flashes) > 0 for r in reader.records)
         for rec in reader.records:
             assert all(f.time <= 0.5 + 1e-12 for f in rec.flashes)
+
+    def test_truncated_archive_fails_closed(self, tmp_path, capsys):
+        cfg = RunConfig.from_text(GRW_CFG)
+        arc = [p for p in run_simulate(cfg, os.path.join(tmp_path, "run"))
+               if p.endswith(".cldn")][0]
+        blob = open(arc, "rb").read()
+        reader = read_archive(arc, expected_config=cfg)
+        n = reader.grid.n_points
+        # byte offsets of each record, from the documented layout
+        (hlen,) = struct.unpack_from("<I", blob, 6)
+        starts = [6 + 4 + hlen + 32]
+        for rec in reader.records:
+            starts.append(starts[-1] + 13 + 24 * len(rec.flashes) + 4
+                          + len(rec.times) * (16 + 8 * n))
+        assert starts[-1] == len(blob)
+        k = next(i for i, r in enumerate(reader.records) if r.flashes)
+        cuts = {
+            "record header": starts[1] + 5,
+            "flashes": starts[k] + 13 + 10,
+            "amplitudes": starts[0] + 13 + 24 * len(reader.records[0].flashes)
+            + 4 + 16 + 100,
+            "last 5 bytes": len(blob) - 5,
+            "last 700 bytes": len(blob) - 700,
+        }
+        for where, cut in cuts.items():
+            bad = os.path.join(tmp_path, "cut.cldn")
+            open(bad, "wb").write(blob[:cut])
+            with pytest.raises(ArchiveError, match="truncated"):
+                read_archive(bad)
+            dest = os.path.join(tmp_path, "dens.csv")
+            rc = main(["export", "--archive", bad, "--time", "0.5", "--output", dest])
+            err = capsys.readouterr().err
+            assert rc == 2, where
+            assert err.startswith("error: ArchiveError: ") and err.count("\n") == 1, where
+            assert not os.path.exists(dest)
 
 
 class TestCsv:

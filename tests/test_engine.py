@@ -1,6 +1,7 @@
 """The batched Trotter-product engine: batch rows against single runs and
-against a literal composition of the grid propagators, fail-closed
-parameters, and the boundary flag of weights-only runs."""
+against a literal composition of the grid propagators for all three
+processes, fail-closed parameters, and the boundary flag of weights-only
+runs."""
 
 import math
 from unittest import mock
@@ -19,14 +20,34 @@ from collapsim import (
     diosi_ensemble,
     diosi_trajectory,
     evolve_unitary,
+    gaussian_hit,
+    grw_ensemble,
+    grw_trajectory,
     hybrid_ensemble,
     hybrid_trajectory,
     make_gaussian_packet,
+    sample_flash_center,
+    sample_jump_times,
 )
 from collapsim import diosi
 from collapsim.errors import InvalidParameterError
-from collapsim.grid import CollapseSpec, collapse_flow, cosine_potential, norm2, normalize
-from collapsim.rng import ExponentialSequence, WienerPath
+from collapsim.grid import (
+    BOUNDARY_MASS_LIMIT,
+    CollapseSpec,
+    boundary_mass,
+    collapse_flow,
+    cosine_potential,
+    norm2,
+    normalize,
+)
+from collapsim.rng import (
+    ROLE_FLASH_NOISE,
+    ROLE_FLASH_POSITION,
+    ROLE_JUMP_TIMES,
+    ExponentialSequence,
+    WienerPath,
+    stream,
+)
 
 GRID = Grid(64, -12.0, 12.0)
 # a centred packet, and one started near the edge and pushed towards it
@@ -69,16 +90,20 @@ def test_batch_row_is_batch_of_one(seed, first, n, block_rows, h_name, packet,
     hp = HybridParams(1.0, mu, 0.25, times, deterministic_times=deterministic,
                       wiener_resolution=64.0, unitary_substep=1.0 / 32.0)
     dp = DiosiParams(1.0, 64, 0.25, times)
+    # GRW at lam = 1 (alpha = 2 lam / mu), with jumps after the last sample time
+    gp = GrwParams(mu, 2.0 / mu, 0.3, times, unitary_substep=1.0 / 32.0)
     with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points):
         hyb = hybrid_ensemble(phi, h, hp, seed, n, store_states=store_states,
                               workers=workers)
         dio = diosi_ensemble(phi, h, dp, seed, n, store_states=store_states,
                              first_index=first)
+        grw = grw_ensemble(phi, h, gp, seed, n, workers=workers)
     for i in range(n):
         assert_same_record(hyb[i], hybrid_trajectory(phi, h, hp, seed, index=i,
                                                      store_states=store_states))
         assert_same_record(dio[i], diosi_trajectory(phi, h, dp, seed, index=first + i,
                                                     store_states=store_states))
+        assert_same_record(grw[i], grw_trajectory(phi, h, gp, seed, index=i))
     cells = hybrid_trajectory(phi, h, hp, seed, index=n - 1, record_flow_cells=True)
     assert cells.flow_cells == tuple(range(len(hyb[n - 1].flashes)))
 
@@ -90,11 +115,14 @@ def test_rows_straddling_the_real_block_size():
     rows = diosi._BLOCK_AMPLITUDES // grid.n_points
     hp = HybridParams(1.0, 16.0, 0.25, (0.125, 0.25))
     dp = DiosiParams(1.0, 32, 0.25, (0.125, 0.25))
+    gp = GrwParams(16.0, 0.125, 0.25, (0.125, 0.25))
     hyb = hybrid_ensemble(phi, h, hp, 61, rows + 2)
     dio = diosi_ensemble(phi, h, dp, 61, rows + 2)
+    grw = grw_ensemble(phi, h, gp, 61, rows + 2)
     for i in range(rows - 2, rows + 2):
         assert_same_record(hyb[i], hybrid_trajectory(phi, h, hp, 61, index=i))
         assert_same_record(dio[i], diosi_trajectory(phi, h, dp, 61, index=i))
+        assert_same_record(grw[i], grw_trajectory(phi, h, gp, 61, index=i))
 
 
 def test_engine_matches_literal_composition_with_substeps():
@@ -126,6 +154,81 @@ def test_engine_matches_literal_composition_with_substeps():
             assert np.max(np.abs(snap.amplitudes - rec.states[j].amplitudes)) <= 1e-12
         assert len(rec.flashes) == k
     assert substeps > 2 * sum(len(r.flashes) for r in recs)  # factors were split
+
+
+def test_grw_matches_literal_composition_with_substeps():
+    # each row rebuilt jump by jump from the grid propagators and the sampler;
+    # the packet runs towards the edge, so some rows carry the boundary flag
+    grid = Grid(128, -16.0, 16.0)
+    phi = make_gaussian_packet(grid, 9.0, 1.0, momentum=2.0)
+    h = HamiltonianSpec(grid, cosine_potential(grid, 0.5))
+    mu, alpha, cap, seed = 4.0, 0.5, 1.0 / 64.0, 64
+    times = (0.3, 0.7)
+    p = GrwParams(mu, alpha, 1.0, times, unitary_substep=cap)
+    recs = grw_ensemble(phi, h, p, seed, 8)
+    # without sample times only the hits can set the flag
+    bare = grw_ensemble(phi, h, GrwParams(mu, alpha, 1.0, unitary_substep=cap), seed, 8)
+    substeps = hits = 0
+    flags, hit_flags = [], []
+    for i, rec in enumerate(recs):
+        jumps = sample_jump_times(mu, 1.0, stream(seed, i, ROLE_JUMP_TIMES))
+        pos = stream(seed, i, ROLE_FLASH_POSITION)
+        noise = stream(seed, i, ROLE_FLASH_NOISE)
+        assert [f.time for f in rec.flashes] == jumps.tolist()
+        state, t_k, j = phi, 0.0, 0
+        masses, hit_masses = [], [0.0]
+        for k, t_jump in enumerate(jumps):
+            while j < len(times) and times[j] < t_jump:  # snapshots before this jump
+                snap = normalize(evolve_unitary(state, h, times[j] - t_k, max_step=cap))
+                assert np.max(np.abs(snap.amplitudes - rec.states[j].amplitudes)) <= 1e-12
+                masses.append(boundary_mass(snap))
+                j += 1
+            substeps += math.ceil((t_jump - t_k) / cap)
+            state = evolve_unitary(state, h, t_jump - t_k, max_step=cap)
+            y = sample_flash_center(state, alpha, pos, noise)
+            assert rec.flashes[k].center == pytest.approx(y, abs=1e-12)
+            hit = gaussian_hit(state, y, alpha)
+            assert rec.flashes[k].pre_collapse_norm2 == pytest.approx(norm2(hit), rel=1e-12)
+            state, t_k = normalize(hit), t_jump
+            hit_masses.append(boundary_mass(state))
+            hits += 1
+        for j in range(j, len(times)):
+            snap = normalize(evolve_unitary(state, h, times[j] - t_k, max_step=cap))
+            assert np.max(np.abs(snap.amplitudes - rec.states[j].amplitudes)) <= 1e-12
+            masses.append(boundary_mass(snap))
+        assert np.all(rec.weights == 1.0)
+        flags.append(rec.boundary_flag)
+        hit_flags.append(bare[i].boundary_flag)
+        assert rec.boundary_flag == (max(masses + hit_masses) > BOUNDARY_MASS_LIMIT)
+        assert bare[i].boundary_flag == (max(hit_masses) > BOUNDARY_MASS_LIMIT)
+        assert bare[i].flashes == rec.flashes
+    assert any(f.time > times[-1] for r in recs for f in r.flashes)  # jumps past the last
+    assert substeps > 2 * hits  # factors were split
+    assert any(flags) and not all(flags) and any(hit_flags)
+
+
+def test_grw_jump_at_a_sample_time_comes_before_the_snapshot():
+    grid = Grid(128, -16.0, 16.0)
+    phi = make_gaussian_packet(grid, 0.0, 1.0)
+    h0 = HamiltonianSpec.zero(grid)
+    alpha, seed = 0.5, 65
+    t_hit = sample_jump_times(4.0, 1.0, stream(seed, 0, ROLE_JUMP_TIMES))[0]
+    rec = grw_trajectory(phi, h0, GrwParams(4.0, alpha, 1.0, (float(t_hit),)), seed)
+    after = normalize(gaussian_hit(phi, rec.flashes[0].center, alpha))
+    assert np.max(np.abs(rec.states[0].amplitudes - after.amplitudes)) <= 1e-12
+
+
+def test_grw_state_does_not_depend_on_other_sample_times():
+    grid = Grid(128, -16.0, 16.0)
+    phi = make_gaussian_packet(grid, 0.0, 1.0)
+    h = HamiltonianSpec(grid, cosine_potential(grid, 0.5))
+    alone = GrwParams(4.0, 0.5, 1.0, (1.0,))
+    among = GrwParams(4.0, 0.5, 1.0, (0.3, 0.6, 1.0))
+    for seed in range(20):
+        a = grw_trajectory(phi, h, alone, seed)
+        b = grw_trajectory(phi, h, among, seed)
+        assert a.flashes == b.flashes
+        assert np.array_equal(a.state_at(1.0).amplitudes, b.state_at(1.0).amplitudes)
 
 
 @pytest.mark.parametrize("make", [
