@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ArchiveError
 from .grid import Grid, NORMALIZED, WaveFunction
 from .records import FlashEvent, TrajectoryRecord
+from .stats import effective_sample_size
 
 MAGIC = b"CLDN1\x00"
 FORMAT_VERSION = "CLDN1"
@@ -167,17 +168,21 @@ def _csv_line(values):
 
 
 def summary_csv(records, sample_times):
-    """Per-sample-time summary: weighted position stats and mean weight.
+    """Per-sample-time summary: weighted position stats and weight health.
 
     Columns: time, mean_position, position_variance, mean_weight,
-    mean_weight_se.  The position moments are reweighted by the raw
-    squared norms (all ones for the jump process), divided by N.
+    mean_weight_se, ess, boundary_flags.  The position moments are
+    reweighted by the raw squared norms (all ones for the jump process),
+    divided by N; ess is the effective sample size of the weights at that
+    time, and boundary_flags the number of records whose boundary flag is
+    set.
     """
     from .grid import position_mean, position_variance
 
     lines = [_csv_line(["time", "mean_position", "position_variance",
-                        "mean_weight", "mean_weight_se"])]
+                        "mean_weight", "mean_weight_se", "ess", "boundary_flags"])]
     n = len(records)
+    flags = str(sum(bool(r.boundary_flag) for r in records))
     for t in sample_times:
         w = np.array([r.weight_at(t) for r in records])
         m1 = np.array([position_mean(r.state_at(t)) for r in records])
@@ -188,7 +193,7 @@ def summary_csv(records, sample_times):
         mw = float(w.mean())
         se = float(w.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         lines.append(_csv_line([_fmt(t), _fmt(mean_x), _fmt(var_x),
-                                _fmt(mw), _fmt(se)]))
+                                _fmt(mw), _fmt(se), _fmt(effective_sample_size(w)), flags]))
     return "".join(lines)
 
 

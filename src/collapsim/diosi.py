@@ -93,10 +93,13 @@ _MAX_INCREMENT_ELEMENTS = 1 << 22
 class DiosiParams:
     """Diffusion-process parameters and integrator resolution.
 
-    ``n_substeps_per_unit_time`` fixes the deterministic Trotter mesh;
-    sample times are snapped to the nearest mesh point (within half a
-    step).  The collapse factor per cell is exact, so the integrator's
-    error is the second-order splitting error in the unitary part only.
+    ``n_substeps_per_unit_time`` (R) fixes the deterministic Trotter mesh.
+    The requested sample times are snapped to the nearest mesh point
+    (within half a step), and ``sample_times`` holds the snapped times
+    steps / R, the times the states are taken at; a snapped time past
+    t_max is rejected.  The collapse factor per cell is exact, so the
+    integrator's error is the second-order splitting error in the unitary
+    part only.
     """
 
     lam: float
@@ -106,10 +109,15 @@ class DiosiParams:
 
     def __post_init__(self):
         _require_positive(lam=self.lam, t_max=self.t_max)
-        if not self.n_substeps_per_unit_time >= 1:
+        res = self.n_substeps_per_unit_time
+        if not res >= 1:
             raise InvalidParameterError("n_substeps_per_unit_time must be >= 1")
-        object.__setattr__(
-            self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
+        times = _validate_sample_times(self.sample_times, self.t_max)
+        snapped = tuple(s / res for s in _snap_steps(times, res))
+        if any(t > self.t_max + 1e-12 for t in snapped):
+            raise InvalidParameterError(
+                f"sample times {times} snap past t_max = {self.t_max} on the mesh 1/{res}")
+        object.__setattr__(self, "sample_times", snapped)
 
 
 @dataclass(frozen=True)
@@ -218,6 +226,8 @@ def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
     bound = 4.0 * dt * _EXP_OVERFLOW_LIMIT
     buf = np.empty((rows, grid.n_points))
     chunk = max(1, _MAX_INCREMENT_ELEMENTS // max(rows, 1))
+    if chunk > rngmod.WIENER_BLOCK:  # end chunks on Wiener block boundaries
+        chunk -= chunk % rngmod.WIENER_BLOCK
     held = [0, 0, None]  # cells k0 .. k1 and their increments
 
     def flow(amps, act, k):
@@ -347,17 +357,44 @@ def _diosi_arrays(phi0, h, p, seed, indices, store_states=True, fft_workers=None
     _check_flow_budget(phi0.grid, p.lam, dt)
     steps = np.array(_snap_steps(p.sample_times, res), dtype=np.int64)
     indices = list(indices)
+    wiener = rngmod.WienerRows(seed, indices, res)
 
     def block(lo, hi):
-        paths = [rngmod.WienerPath(seed, i, cells_per_unit=res) for i in indices[lo:hi]]
-        flow = _flow_factor(
-            phi0.grid, p.lam, dt,
-            lambda k0, k1: np.array([path.cell_increments(k0, k1) for path in paths]),
-            int(steps.max(initial=0)), hi - lo)
+        def increments(k0, k1):
+            out = np.empty((hi - lo, k1 - k0))
+            for r in range(lo, hi):
+                wiener.fill(r, k0, out[r - lo])
+            return out
+
+        flow = _flow_factor(phi0.grid, p.lam, dt, increments, int(steps.max(initial=0)),
+                            hi - lo)
         return _trotter_product(phi0, h, flow, np.tile(steps, (hi - lo, 1)), dt,
                                 store_states=store_states, fft_workers=fft_workers)
 
     return _in_blocks(len(indices), phi0.grid.n_points, block)
+
+
+def _waiting_times(seed, indices, dt_cell, horizon):
+    """Row i's head of ExponentialSequence(seed, i), long enough for T_k to pass horizon.
+
+    A row takes one block of waits, doubled as long as their jump times
+    stay at or below the horizon; the rows are padded with inf.
+    """
+    size = rngmod.EXPONENTIAL_BLOCK
+    indices = np.asarray(indices)
+    waits = np.empty((indices.size, 0))
+    need = np.arange(indices.size)
+    while need.size:
+        have = waits.shape[1] // size
+        grow = max(have, 1)  # blocks to add: one, then as many as there are
+        more = np.full((indices.size, grow * size), np.inf)
+        for j in range(grow):
+            keys = rngmod.philox_keys(seed, indices[need], rngmod.ROLE_JUMP_TIMES, have + j)
+            more[need, j * size:(j + 1) * size] = rngmod.fill_rows(
+                keys, "standard_exponential", np.empty((need.size, size)))
+        waits = np.hstack([waits, more])
+        need = need[np.cumsum(waits[need] * dt_cell, axis=1)[:, -1] <= horizon]
+    return waits
 
 
 def _hybrid_arrays(phi0, h, p, seed, indices, store_states=True):
@@ -371,37 +408,29 @@ def _hybrid_arrays(phi0, h, p, seed, indices, store_states=True):
     row r has the first n_flashes[r] of them, at the jump times, with
     centers (mu / (2 sqrt(lam))) dxi.
     """
+    indices = list(indices)
+    n_rows = len(indices)
     base = p.wiener_resolution if p.wiener_resolution is not None else p.mu
-    rngmod.WienerPath(seed, 0, cells_per_unit=base).coarse_ratio(p.mu)  # validate up front
+    wiener = rngmod.WienerRows(seed, indices, base)  # validates the resolution
+    ratio = rngmod.coarse_ratio(base, p.mu)
     dt_cell = 1.0 / p.mu
     _check_flow_budget(phi0.grid, p.lam, dt_cell)
     times = np.array(p.sample_times, dtype=float)
     limits = times + 1e-12 * np.maximum(1.0, np.abs(times))
     horizon = limits[-1] if limits.size else 0.0
-    indices = list(indices)
-    n_rows = len(indices)
     if p.deterministic_times:  # X_k = 1, T_k = k / mu
         waits = np.ones((n_rows, int(horizon * p.mu) + 2))
         jump_times = np.tile((np.arange(waits.shape[1]) + 1) * dt_cell, (n_rows, 1))
     else:
-        drawn = []
-        for idx in indices:  # enough waits for T_k to pass the horizon
-            seq = rngmod.ExponentialSequence(seed, idx)
-            m = seq.block_size
-            while np.cumsum(seq.head(m) * dt_cell)[-1] <= horizon:
-                m *= 2
-            drawn.append(seq.head(m))
-        waits = np.full((n_rows, max(map(len, drawn), default=0)), np.inf)
-        for r, w in enumerate(drawn):
-            waits[r, :w.size] = w
+        waits = _waiting_times(seed, indices, dt_cell, horizon)
         jump_times = np.cumsum(waits * dt_cell, axis=1)
     counts, taus, residual = _schedule(jump_times, waits * dt_cell, times, limits)
     n_flashes = counts.max(axis=1, initial=0)
     n_factors = taus.shape[1]
     dxis = np.zeros((n_rows, n_factors))
-    for r, idx in enumerate(indices):
-        path = rngmod.WienerPath(seed, idx, cells_per_unit=base)
-        dxis[r, :n_flashes[r]] = path.coarse_increments(p.mu, 0, n_flashes[r])
+    for r in np.flatnonzero(n_flashes):  # only the cells a row's flows reach
+        dxis[r, :n_flashes[r]] = rngmod.coarse_sums(
+            wiener.fill(r, 0, np.empty(n_flashes[r] * ratio)), ratio)
     cap = _substep_cap(p.unitary_substep)
 
     def block(lo, hi):

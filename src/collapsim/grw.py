@@ -90,53 +90,63 @@ def flash_density(psi, alpha, y):
     return float(vals[0]) if np.isscalar(y) or np.ndim(y) == 0 else vals
 
 
-def _sample_centers(amps, grid, alpha, pos_rngs, noise_rngs):
-    """One hit center per row of (m, n) amplitudes, row r on its own streams.
+def _sample_centers(amps, grid, alpha, uniforms, normals):
+    """One hit center per row of (m, n) amplitudes, from that row's draws.
 
     Two-stage exact sampler: a grid point X* from the discrete density
-    |psi_j|^2 dx (inverse CDF on one uniform of pos_rngs[r]; the intra-cell
-    position is the cell center), then Y = X* + G with G ~ Normal(0,
-    1/(2 alpha)) drawn from noise_rngs[r].
+    |psi_j|^2 dx (inverse CDF on the row's uniform; the intra-cell position
+    is the cell center), then Y = X* + G with G ~ Normal(0, 1/(2 alpha)),
+    G the row's standard normal times sqrt(1/(2 alpha)).
     """
     cdf = np.cumsum(np.abs(amps) ** 2, axis=1)
     if not np.all(cdf[:, -1] * grid.dx > 1e-300):
         raise DegenerateStateError("cannot sample the flash center of a vanishing state")
-    u = np.array([g.random() for g in pos_rngs]) * cdf[:, -1]
+    u = uniforms * cdf[:, -1]
     j = np.minimum(np.count_nonzero(cdf <= u[:, None], axis=1), grid.n_points - 1)
-    noise = np.array([g.standard_normal() for g in noise_rngs])
-    return grid.x[j] + noise * math.sqrt(0.5 / alpha)
+    return grid.x[j] + normals * math.sqrt(0.5 / alpha)
 
 
 def sample_flash_center(psi, alpha, rng, noise_rng=None):
     """Draw a hit center with density flash_density(psi, alpha, .).
 
-    The row sampler of the hit factor on a batch of one.  ``noise_rng``
-    lets callers keep the position and noise draws on separate streams;
-    it defaults to ``rng``.
+    The row sampler of the hit factor on a batch of one: one uniform from
+    ``rng``, then one normal from ``noise_rng``, which lets callers keep
+    the position and noise draws on separate streams; it defaults to
+    ``rng``.
     """
     if alpha <= 0:
         raise InvalidParameterError("alpha must be positive")
-    return float(_sample_centers(psi.amplitudes[None, :], psi.grid, alpha, [rng],
-                                 [noise_rng or rng])[0])
+    u = np.array([rng.random()])
+    g = np.array([(noise_rng or rng).standard_normal()])
+    return float(_sample_centers(psi.amplitudes[None, :], psi.grid, alpha, u, g)[0])
 
 
-def _hit_factor(grid, alpha, seed, indices, n_factors):
-    """The Gaussian hit as an engine factor for the rows ``indices`` of one block.
+def _flash_keys(seed, indices):
+    """(2, N, 2) Philox keys of each row's ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams."""
+    return np.stack([rngmod.philox_keys(seed, indices, role)
+                     for role in (rngmod.ROLE_FLASH_POSITION, rngmod.ROLE_FLASH_NOISE)])
 
-    Returns (hit, centers, flags): the factor, the (rows, n_factors) centers
-    it draws, and the per-row flag it ORs with the boundary mass after
-    every hit.
+
+def _hit_factor(grid, alpha, keys, n_factors):
+    """The Gaussian hit as an engine factor for the rows of one block.
+
+    ``keys`` holds the block's rows of ``_flash_keys``; hit k of row r uses
+    the k-th uniform and the k-th normal of the row's two streams, drawn up
+    front for n_factors hits.  Returns (hit, centers, flags): the factor,
+    the (rows, n_factors) centers it draws, and the per-row flag it ORs
+    with the boundary mass after every hit.
     """
-    pos = [rngmod.stream(seed, i, rngmod.ROLE_FLASH_POSITION) for i in indices]
-    noise = [rngmod.stream(seed, i, rngmod.ROLE_FLASH_NOISE) for i in indices]
-    rows = np.arange(len(pos))
-    centers = np.zeros((len(pos), n_factors))
-    flags = np.zeros(len(pos), dtype=bool)
+    rows = keys.shape[1]
+    uniforms = rngmod.fill_rows(keys[0], "random", np.empty((rows, n_factors)))
+    normals = rngmod.fill_rows(keys[1], "standard_normal", np.empty((rows, n_factors)))
+    r_all = np.arange(rows)
+    centers = np.zeros((rows, n_factors))
+    flags = np.zeros(rows, dtype=bool)
     scale = (alpha / np.pi) ** 0.25
 
     def hit(amps, act, k):
-        r = rows[act]
-        y = _sample_centers(amps, grid, alpha, [pos[i] for i in r], [noise[i] for i in r])
+        r = r_all[act]
+        y = _sample_centers(amps, grid, alpha, uniforms[r, k], normals[r, k])
         centers[r, k] = y
         amps *= scale * np.exp(-0.5 * alpha * (grid.x - y[:, None]) ** 2)
         n2 = _norm2_rows(amps, grid.dx)
@@ -159,9 +169,9 @@ def _grw_records(phi0, h, p, seed, lo, hi):
     if phi0.label != NORMALIZED:
         raise InvalidParameterError("phi0 must be normalized")
     indices = range(lo, hi)
-    jumps = [sample_jump_times(p.mu, p.t_max,
-                               rngmod.stream(seed, i, rngmod.ROLE_JUMP_TIMES))
-             for i in indices]
+    jumps = [sample_jump_times(p.mu, p.t_max, g) for g in rngmod.row_generators(
+        rngmod.philox_keys(seed, indices, rngmod.ROLE_JUMP_TIMES))]
+    flash_keys = _flash_keys(seed, indices)
     width = max(map(len, jumps), default=0)
     jump_times = np.full((len(jumps), width), np.inf)
     taus = np.zeros((len(jumps), width))
@@ -178,7 +188,7 @@ def _grw_records(phi0, h, p, seed, lo, hi):
     n_factors = taus.shape[1]
 
     def block(b0, b1):
-        hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, seed, indices[b0:b1],
+        hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, flash_keys[:, b0:b1],
                                               n_factors)
         batch = _trotter_product(phi0, h, hit, counts[b0:b1], taus[b0:b1],
                                  residual[b0:b1], _substep_cap(p.unitary_substep),

@@ -39,7 +39,14 @@ def chi2_sf(x, df):
 
 
 def effective_sample_size(weights):
+    """(sum w)^2 / sum w^2; 0 for no weight mass.
+
+    Raises InvalidParameterError on a NaN, infinite or negative weight,
+    whose ESS would mean nothing.
+    """
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise InvalidParameterError("weights must be finite and nonnegative")
     s = w.sum()
     q = (w * w).sum()
     return float(s * s / q) if q > 0 else 0.0

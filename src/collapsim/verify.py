@@ -20,7 +20,7 @@ from . import rng as rngmod
 from .diosi import HybridParams, _diosi_arrays, _hybrid_arrays, _in_blocks, _trotter_product
 from .errors import InvalidParameterError
 from .grid import NORMALIZED, WaveFunction, inner, norm2, nyquist_mass_fraction
-from .grw import _hit_factor
+from .grw import _flash_keys, _hit_factor
 from .stats import effective_sample_size, ks_2samp
 from . import grid as gridmod
 
@@ -199,8 +199,10 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
             name="flash_vs_increment", statistic=0.0, threshold=1.0,
             n_samples=n_samples, details={**report_details, "status": "vacuous"})
 
+    flash_keys = _flash_keys(seed, range(n_samples))
+
     def grw_block(lo, hi):  # n_jumps hits per row, H = 0
-        hit, centers, _ = _hit_factor(grid, alpha, seed, range(lo, hi), n_jumps)
+        hit, centers, _ = _hit_factor(grid, alpha, flash_keys[:, lo:hi], n_jumps)
         batch = _trotter_product(phi0, h0, hit, np.full((hi - lo, 1), n_jumps), 0.0,
                                  store_states=False)
         return batch._replace(flash_centers=centers)

@@ -203,7 +203,7 @@ class TestCsv:
         p = DiosiParams(lam=0.01, n_substeps_per_unit_time=64, t_max=0.1,
                         sample_times=(0.1,))
         recs = diosi_ensemble(phi, h, p, 71, 1000)
-        text = density_csv(recs, 0.1)
+        text = density_csv(recs, p.sample_times[0])  # 0.1 snapped to 6/64
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
         xs = np.array([float(r[0]) for r in rows])
         dens = np.array([float(r[1]) for r in rows])
@@ -236,8 +236,42 @@ class TestCsv:
         run_simulate(cfg, out)
         text = open(os.path.join(out, "summary.csv")).read()
         lines = text.strip().splitlines()
-        assert lines[0] == "time,mean_position,position_variance,mean_weight,mean_weight_se"
+        assert lines[0] == ("time,mean_position,position_variance,mean_weight,"
+                            "mean_weight_se,ess,boundary_flags")
         assert len(lines) == 3
+
+
+    @pytest.mark.parametrize("centre", [0, 10])  # a packet at 10 flags every record
+    def test_summary_csv_weight_health(self, tmp_path, centre):
+        cfg = RunConfig.from_text(HYBRID_CFG + f"packet_center = {centre}\n")
+        out = os.path.join(tmp_path, "sum")
+        run_simulate(cfg, out)
+        reader = read_archive(os.path.join(out, "hybrid_archive.cldn"))
+        lines = open(os.path.join(out, "summary.csv")).read().strip().splitlines()
+        flags = sum(r.boundary_flag for r in reader.records)
+        assert flags == (len(reader.records) if centre else 0)
+        for line, t in zip(lines[1:], cfg.sample_times):
+            cols = line.split(",")
+            w = [r.weight_at(t) for r in reader.records]
+            assert float(cols[5]) == pytest.approx(sum(w) ** 2 / sum(x * x for x in w),
+                                                   rel=1e-12)
+            assert int(cols[6]) == flags
+
+    def test_diosi_outputs_carry_the_snapped_times(self, tmp_path):
+        # 0.1 and 0.3 at n_substeps = 64 are taken at steps 6 and 19
+        cfg = RunConfig.from_text(
+            "model = diosi\nseed = 4\nlambda = 1.0\nx_min = -16\nx_max = 16\n"
+            "n_points = 128\nt_max = 0.5\nsample_times = 0.1, 0.3\n"
+            "n_substeps = 64\nn_trajectories = 3\n")
+        out = os.path.join(tmp_path, "dio")
+        run_simulate(cfg, out)
+        want = [6 / 64, 19 / 64]
+        reader = read_archive(os.path.join(out, "diosi_archive.cldn"))
+        assert list(reader.sample_times) == want
+        assert all(list(r.times) == want for r in reader.records)
+        rows = open(os.path.join(out, "summary.csv")).read().strip().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == want
+        assert os.path.exists(os.path.join(out, "density_t1.csv"))
 
 
 class TestCliDeterminism:

@@ -21,7 +21,7 @@ from collapsim import (
 )
 from collapsim.errors import InvalidParameterError, ScheduleMismatchError
 from collapsim.grid import CollapseSpec, collapse_flow, cosine_potential, normalize
-from collapsim.rng import ROLE_WIENER, WienerPath, stream
+from collapsim.rng import ROLE_WIENER, ExponentialSequence, WienerPath, stream
 
 
 def packet(n=256, half=20.0):
@@ -86,6 +86,24 @@ class TestDiosiTrajectory:
                             sample_times=(0.5, 0.6))
             diosi_trajectory(packet(), HamiltonianSpec.zero(packet().grid), p, 1)
 
+    def test_sample_times_hold_the_snapped_mesh_times(self):
+        # 0.1 at R = 128 is taken at step 13: the record says 13/128, not 0.1
+        p = DiosiParams(1.0, 128, 1.0, (0.1,))
+        assert p.sample_times == (13 / 128,)
+        phi = packet()
+        rec = diosi_ensemble(phi, HamiltonianSpec.free(phi.grid), p, 3, 2)[0]
+        assert rec.times == (0.1015625,)
+        assert rec.state_at(0.1015625) is rec.states[0]
+        with pytest.raises(ScheduleMismatchError):
+            rec.state_at(0.1)
+        assert DiosiParams(1.0, 4, 1.0, (0.0, 0.5, 1.0)).sample_times == (0.0, 0.5, 1.0)
+
+    def test_sample_time_snapped_past_t_max_raises(self):
+        # 0.4 at R = 512 snaps to 205/512 > 0.4
+        with pytest.raises(InvalidParameterError):
+            DiosiParams(1.0, 512, 0.4, (0.4,))
+        assert DiosiParams(1.0, 512, 0.5, (0.4,)).sample_times == (205 / 512,)
+
     def test_collapse_continuity_at_zero(self):
         # E ||(flow(0,t) - 1) phi||^2 = int 2 (1 - e^{-lam t x^2 / 2}) |phi|^2
         phi = packet()
@@ -108,6 +126,22 @@ class TestDiosiTrajectory:
 
 
 class TestHybridTrajectory:
+    def test_jump_times_span_several_wait_blocks(self):
+        # about 400 jumps by t = 1 take the waits of ExponentialSequence
+        # blocks 0 and 1 (256 waits each)
+        phi = packet(64, 12.0)
+        mu = 400.0
+        p = HybridParams(1.0, mu, 1.0, (1.0,))
+        recs = hybrid_ensemble(phi, HamiltonianSpec.zero(phi.grid), p, 5, 3,
+                               store_states=False)
+        for i, rec in enumerate(recs):
+            k = len(rec.flashes)
+            assert 256 < k < 512
+            seq = ExponentialSequence(5, i)
+            times = np.cumsum(np.array([seq[j] for j in range(k + 1)]) * (1.0 / mu))
+            assert np.array_equal([f.time for f in rec.flashes], times[:k])
+            assert times[k] > 1.0
+
     def test_deterministic_times_h0_is_hit_product(self):
         # with X_k = 1 and H = 0 the state is the normalized product of
         # Gaussian hits centered at the rescaled increments
@@ -160,7 +194,6 @@ class TestHybridTrajectory:
         t = 0.7
         p = HybridParams(lam=lam, mu=mu, t_max=t, sample_times=(t,))
         rec = hybrid_trajectory(phi, h, p, seed=44)
-        from collapsim.rng import ExponentialSequence
         waits = ExponentialSequence(44, 0)
         path = WienerPath(44, 0, mu)
         state = phi

@@ -125,6 +125,27 @@ def test_rows_straddling_the_real_block_size():
         assert_same_record(grw[i], grw_trajectory(phi, h, gp, 61, index=i))
 
 
+@pytest.mark.parametrize("chunk_elements", [5 * 7, 3 * 4096 * 5 + 5 * 9])
+def test_diosi_wiener_chunks_ending_inside_blocks(chunk_elements):
+    # the flow fetches 7 cells per row at a time, so chunks start and end
+    # inside the 4096-cell Wiener blocks (12297 is cut to 3 whole blocks);
+    # each row must still take the cells of its own WienerPath
+    phi = PACKETS["centre"]
+    p = DiosiParams(1.0, 4096, 3.0, (1.0, 3.0))
+    whole = diosi_ensemble(phi, HAMILTONIANS["cos"], p, 29, 5, store_states=False)
+    with mock.patch.object(diosi, "_MAX_INCREMENT_ELEMENTS", chunk_elements):
+        chunked = diosi_ensemble(phi, HAMILTONIANS["cos"], p, 29, 5, store_states=False)
+        pure = diosi_ensemble(phi, HAMILTONIANS["zero"], p, 29, 5, store_states=False)
+    for a, b in zip(whole, chunked):
+        assert_same_record(a, b)
+    # with H = 0 the product of flows is exp(x xi_t - t x^2), xi_t from WienerPath
+    x = GRID.x
+    for i, rec in enumerate(pure):
+        xi = WienerPath(29, i, 4096).increment(0, 3 * 4096)
+        want = np.sum(np.abs(phi.amplitudes * np.exp(x * xi - 3.0 * x * x)) ** 2) * GRID.dx
+        assert rec.weights[-1] == pytest.approx(want, rel=1e-9)
+
+
 def test_engine_matches_literal_composition_with_substeps():
     # each row rebuilt by evolve_unitary and collapse_flow, one factor at a time
     grid = Grid(128, -16.0, 16.0)

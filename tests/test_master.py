@@ -110,9 +110,9 @@ class TestEnsembleConsistency:
 
     def test_diosi_ensemble_matches_master(self):
         h = HamiltonianSpec(GRID, cosine_potential(GRID, 0.5))
-        t = 0.4
-        p = DiosiParams(lam=1.0, n_substeps_per_unit_time=512, t_max=t,
-                        sample_times=(t,))
+        p = DiosiParams(lam=1.0, n_substeps_per_unit_time=512, t_max=0.5,
+                        sample_times=(0.4,))
+        t = p.sample_times[0]  # 0.4 snapped to the mesh: 205/512
         ens = reweight_ensemble(diosi_ensemble(PHI, h, p, 62, 400), t)
         ref = evolve_diosi_master(RHO0, h, 1.0, t, 2e-4)
         gap, se = density_max_gap(ensemble_density(ens),

@@ -134,3 +134,16 @@ class TestEffectiveSampleSize:
     def test_dominant_weight(self):
         w = np.array([1000.0] + [1e-6] * 99)
         assert effective_sample_size(w) < 1.001
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises(self, bad):
+        with pytest.raises(InvalidParameterError):
+            effective_sample_size([bad, 1.0])
+
+    def test_negative_weight_raises(self):
+        with pytest.raises(InvalidParameterError):
+            effective_sample_size([2.0, -0.5, 1.0])
+
+    def test_zero_mass_is_zero(self):
+        assert effective_sample_size([0.0, 0.0]) == 0.0
+        assert effective_sample_size([]) == 0.0
