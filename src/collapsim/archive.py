@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .errors import ArchiveError
-from .grid import Grid, NORMALIZED, WaveFunction
+from .grid import Grid, NORMALIZED, WaveFunction, position_moments
 from .records import FlashEvent, TrajectoryRecord
 from .stats import effective_sample_size
 
@@ -177,17 +177,19 @@ def summary_csv(records, sample_times):
     time, and boundary_flags the number of records whose boundary flag is
     set.
     """
-    from .grid import position_mean, position_variance
-
+    if not records:
+        raise ArchiveError("no records to summarize")
     lines = [_csv_line(["time", "mean_position", "position_variance",
                         "mean_weight", "mean_weight_se", "ess", "boundary_flags"])]
     n = len(records)
     flags = str(sum(bool(r.boundary_flag) for r in records))
     for t in sample_times:
         w = np.array([r.weight_at(t) for r in records])
-        m1 = np.array([position_mean(r.state_at(t)) for r in records])
-        m2 = np.array([position_variance(r.state_at(t)) + position_mean(r.state_at(t))**2
-                       for r in records])
+        states = [r.state_at(t) for r in records]
+        m1, var = position_moments(np.array([s.amplitudes for s in states]), states[0].grid)
+        # <x>^2 as a Python float power (libm pow, which can differ from x * x
+        # in the last bit): each row is position_variance + position_mean ** 2
+        m2 = var + np.array([m**2 for m in m1.tolist()])
         mean_x = float((w * m1).mean())
         var_x = float((w * m2).mean() - mean_x**2)
         mw = float(w.mean())

@@ -171,7 +171,7 @@ def _norm2_rows(amps, dx):
     return (amps.real**2 + amps.imag**2).sum(axis=1) * dx
 
 
-def _unitary_rows(amps, h, tau, cap, phases=None, fft_workers=None):
+def _unitary_rows(amps, h, tau, cap, phases=None):
     """exp(-i tau_r H) on row r of amps, as composed split steps.
 
     ``tau`` is either a float, for one split step of every row with the
@@ -184,7 +184,7 @@ def _unitary_rows(amps, h, tau, cap, phases=None, fft_workers=None):
     if h.is_zero:
         return amps
     if phases is not None:
-        return _apply_split_step(amps, *phases, workers=fft_workers)
+        return _apply_split_step(amps, *phases)
     live = np.flatnonzero(tau > 0)
     t = tau[live]
     if cap is None or h.potential_is_zero or not h.kinetic:
@@ -201,11 +201,10 @@ def _unitary_rows(amps, h, tau, cap, phases=None, fft_workers=None):
     for s in range(int(steps.max(initial=0))):
         m = int(np.count_nonzero(steps > s))
         if m == live.size:
-            sub = _apply_split_step(sub, exp_v, exp_t, workers=fft_workers)
+            sub = _apply_split_step(sub, exp_v, exp_t)
         else:
             sub[:m] = _apply_split_step(
-                sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)),
-                workers=fft_workers)
+                sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)))
     amps[live] = sub
     return amps
 
@@ -247,7 +246,7 @@ def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
 
 
 def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
-                     store_states=True, flash_norms=False, fft_workers=None):
+                     store_states=True, flash_norms=False):
     """The Trotter product on one row block of copies of phi0.
 
     Row r applies factors k = 0, 1, ...: the unitary of duration tau (a
@@ -281,8 +280,7 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
         lockstep = done.min() == done.max() and target.min() == target.max()
         for k in range(int(done.min()), int(target.max())):
             act = slice(None) if lockstep else np.flatnonzero((done <= k) & (k < target))
-            sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k],
-                                cap, phases, fft_workers)
+            sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k], cap, phases)
             got = factor(sub, act, k)
             if flash_norms:
                 norms[act, k] = got
@@ -294,8 +292,7 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
         weights[:, j] = _norm2_rows(amps, dx)
         if residual is not None and not store_states:
             continue
-        snap = amps if residual is None else _unitary_rows(
-            amps.copy(), h, residual[:, j], cap, fft_workers=fft_workers)
+        snap = amps if residual is None else _unitary_rows(amps.copy(), h, residual[:, j], cap)
         flags[:, j] = _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
         if store_states:
             w = _norm2_rows(snap, dx)
@@ -344,7 +341,7 @@ def _snap_steps(sample_times, resolution):
     return steps
 
 
-def _diosi_arrays(phi0, h, p, seed, indices, store_states=True, fft_workers=None):
+def _diosi_arrays(phi0, h, p, seed, indices, store_states=True):
     """Diosi spec: every factor lasts 1/R and flows over Wiener cell k at resolution R.
 
     Returns the engine's _Batch: raw-norm weights, normalized states when
@@ -369,7 +366,7 @@ def _diosi_arrays(phi0, h, p, seed, indices, store_states=True, fft_workers=None
         flow = _flow_factor(phi0.grid, p.lam, dt, increments, int(steps.max(initial=0)),
                             hi - lo)
         return _trotter_product(phi0, h, flow, np.tile(steps, (hi - lo, 1)), dt,
-                                store_states=store_states, fft_workers=fft_workers)
+                                store_states=store_states)
 
     return _in_blocks(len(indices), phi0.grid.n_points, block)
 
@@ -475,7 +472,7 @@ def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
 
 
 def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
-                   first_index=0, fft_workers=None):
+                   first_index=0):
     """Batch-integrated ensemble of diffusion trajectories.
 
     The boundary flag is computed from the batch amplitudes, so weights-only
@@ -484,8 +481,7 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     if phi0.label != NORMALIZED:
         raise InvalidParameterError("phi0 must be normalized")
     indices = range(first_index, first_index + n_trajectories)
-    batch = _diosi_arrays(phi0, h, p, seed, indices, store_states=store_states,
-                          fft_workers=fft_workers)
+    batch = _diosi_arrays(phi0, h, p, seed, indices, store_states=store_states)
     return _records(seed, indices, p.sample_times, phi0.grid, batch)
 
 

@@ -242,15 +242,15 @@ def _split_phases(h, dt):
     return exp_v_half, exp_t
 
 
-def _apply_split_step(amps, exp_v_half, exp_t, workers=None):
+def _apply_split_step(amps, exp_v_half, exp_t):
     """One symmetric split step on (..., n) amplitudes. Returns a new array."""
     out = amps
     if exp_v_half is not None:
         out = out * exp_v_half
     if exp_t is not None:
-        out = scipy.fft.fft(out, axis=-1, overwrite_x=out is not amps, workers=workers)
+        out = scipy.fft.fft(out, axis=-1, overwrite_x=out is not amps)
         out *= exp_t
-        out = scipy.fft.ifft(out, axis=-1, overwrite_x=True, workers=workers)
+        out = scipy.fft.ifft(out, axis=-1, overwrite_x=True)
     if exp_v_half is not None:
         out *= exp_v_half
     if out is amps:
@@ -351,20 +351,25 @@ def collapse_flow(psi, c, dxi, dt):
 
 def position_mean(psi):
     """<x> of the normalized density of psi."""
-    d = np.abs(psi.amplitudes) ** 2
-    total = d.sum()
-    if not (total > 0):
-        raise DegenerateStateError("empty state has no mean position")
-    return float((psi.grid.x * d).sum() / total)
+    return float(position_moments(psi.amplitudes[None, :], psi.grid)[0][0])
 
 
 def position_variance(psi):
-    d = np.abs(psi.amplitudes) ** 2
-    total = d.sum()
-    if not (total > 0):
-        raise DegenerateStateError("empty state has no position variance")
-    m = float((psi.grid.x * d).sum() / total)
-    return float(((psi.grid.x - m) ** 2 * d).sum() / total)
+    return float(position_moments(psi.amplitudes[None, :], psi.grid)[1][0])
+
+
+def position_moments(amps, grid):
+    """<x> and the position variance of each row of (rows, n) amplitudes.
+
+    Raises DegenerateStateError if any row vanishes.
+    """
+    d = np.abs(amps) ** 2
+    total = d.sum(axis=1)
+    if not np.all(total > 0):
+        raise DegenerateStateError("a vanishing state has no position moments")
+    mean = (grid.x * d).sum(axis=1) / total
+    var = ((grid.x - mean[:, None]) ** 2 * d).sum(axis=1) / total
+    return mean, var
 
 
 def boundary_mass(psi):

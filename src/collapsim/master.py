@@ -9,6 +9,18 @@ model and D = (lam / 2)(x - y)^2 for the diffusion model.  With H = 0 both
 equations are diagonal linear ODEs with the closed-form solutions used as
 oracles in the tests.  The integrator is fixed-step RK4 with step-halving
 validation (reproducible, no adaptive state).
+
+The right-hand side costs one real matrix product.  H = T + diag(V), where
+the spectral kinetic matrix T is a real symmetric circulant (k^2 is even
+on the FFT grid).  For Hermitian r, r H = (H r)^H, so with a = T r
+
+    -i [H, r] - D r = -i (a - a^H) - G r,    G_ij = D_ij + i (V_i - V_j),
+
+and T r is one real GEMM of T against r viewed as an n x 2n real array.
+Every RK4 stage of a Hermitian rho is Hermitian to the last bit, so the
+initial kernel must be Hermitian: its hermiticity defect may be at most
+HERMITIAN_RTOL times its largest entry, and it is symmetrized before the
+first step.
 """
 
 import math
@@ -18,8 +30,13 @@ import numpy as np
 import scipy.fft
 
 from .errors import GridMismatchError, InvalidParameterError, StepTooLargeError
+from .grid import _require_positive
 
 MAX_MASTER_POINTS = 128
+
+# Largest hermiticity defect of rho0, relative to its largest entry, that
+# the solvers accept (and remove by symmetrizing).
+HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -53,48 +70,66 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(sym)[0]) * self.grid.dx
 
 
-def hamiltonian_matrix(h):
-    """Dense matrix of H = -1/2 Laplacian + V on the grid (spectral kinetic).
+def kinetic_matrix(grid):
+    """Dense real matrix of T = -1/2 Laplacian on the grid (spectral).
 
     Built from the same Fourier multiplier the split-step propagator uses,
     so trajectory and master evolutions share one discrete Hamiltonian.
+    k^2 is even on the FFT grid, so T is a real symmetric circulant: the
+    imaginary part of the transform is roundoff and is dropped.
     """
+    n = grid.n_points
+    mat = scipy.fft.ifft(
+        (0.5 * grid.k**2)[:, None] * scipy.fft.fft(np.eye(n, dtype=np.complex128), axis=0),
+        axis=0).real
+    return 0.5 * (mat + mat.T)  # symmetrize roundoff
+
+
+def hamiltonian_matrix(h):
+    """Dense complex matrix of H = -1/2 Laplacian + V on the grid."""
     n = h.grid.n_points
-    mat = np.zeros((n, n), dtype=np.complex128)
-    if h.kinetic:
-        eye = np.eye(n, dtype=np.complex128)
-        mat = scipy.fft.ifft(
-            (0.5 * h.grid.k**2)[:, None] * scipy.fft.fft(eye, axis=0), axis=0)
-        mat = 0.5 * (mat + mat.conj().T)  # symmetrize roundoff
-    if not h.potential_is_zero:
-        mat = mat + np.diag(h.potential.astype(np.complex128))
-    return mat
+    mat = kinetic_matrix(h.grid) if h.kinetic else np.zeros((n, n))
+    return (mat + np.diag(h.potential)).astype(np.complex128)
 
 
 def grw_decoherence_rates(grid, mu, alpha):
     """Rate matrix mu (1 - exp(-alpha (x_i - x_j)^2 / 4))."""
-    if mu <= 0 or alpha <= 0:
-        raise InvalidParameterError("mu and alpha must be positive")
+    _require_positive(mu=mu, alpha=alpha)
     sep = grid.x[:, None] - grid.x[None, :]
     return mu * (1.0 - np.exp(-0.25 * alpha * sep**2))
 
 
 def diosi_decoherence_rates(grid, lam):
     """Rate matrix (lam / 2)(x_i - x_j)^2."""
-    if lam <= 0:
-        raise InvalidParameterError("lam must be positive")
+    _require_positive(lam=lam)
     sep = grid.x[:, None] - grid.x[None, :]
     return 0.5 * lam * sep**2
 
 
-def _rk4(rho, h_mat, rates, t, n_steps):
+def _rhs(h, rates):
+    """The map r -> -i [H, r] - rates r, valid for Hermitian r (module docstring)."""
+    if h.is_zero:
+        return lambda r: -rates * r
+    damp = rates
+    if not h.potential_is_zero:
+        v = h.potential
+        damp = rates + 1j * (v[:, None] - v[None, :])
+    if not h.kinetic:
+        return lambda r: -damp * r
+    t_mat = kinetic_matrix(h.grid)
+
+    def rhs(r):
+        a = (t_mat @ r.view(np.float64)).view(np.complex128)
+        out = a - a.conj().T
+        out *= -1j
+        out -= damp * r
+        return out
+
+    return rhs
+
+
+def _rk4(rho, rhs, t, n_steps):
     dt = t / n_steps
-    if h_mat is None:
-        def rhs(r):
-            return -rates * r
-    else:
-        def rhs(r):
-            return -1j * (h_mat @ r - r @ h_mat) - rates * r
     r = rho
     for _ in range(n_steps):
         k1 = rhs(r)
@@ -106,21 +141,39 @@ def _rk4(rho, h_mat, rates, t, n_steps):
 
 
 def _evolve(rho0, h, rates, t, dt, validate):
-    if t < 0:
-        raise InvalidParameterError("t must be nonnegative")
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
-    if t == 0:
-        return DensityMatrix(rho0.grid, rho0.entries.copy())
+    """rho_t by fixed-step RK4 of d rho / dt = -i [H, rho] - rates rho.
+
+    The right-hand side is -i (a - a^H) - G rho with a = T rho and
+    G = rates + i (V_i - V_j), one real GEMM per stage; it is exact only
+    for Hermitian rho.  rho0 is therefore required to be Hermitian to
+    HERMITIAN_RTOL relative to its largest entry (InvalidParameterError
+    otherwise, and for non-finite entries) and is symmetrized, so the
+    result is exactly Hermitian.  t must be finite and nonnegative, dt
+    positive and finite.  ``validate`` reruns at half the step and raises
+    StepTooLargeError unless the two agree to 1e-6.
+    """
+    if not 0 <= t < math.inf:
+        raise InvalidParameterError(f"t must be finite and nonnegative, got {t!r}")
+    _require_positive(dt=dt)
     if rho0.grid != h.grid:
         raise GridMismatchError("density matrix and Hamiltonian grids differ")
-    h_mat = None if h.is_zero else hamiltonian_matrix(h)
+    defect = rho0.hermiticity_defect()
+    scale = float(np.max(np.abs(rho0.entries)))
+    if not defect <= HERMITIAN_RTOL * scale:
+        raise InvalidParameterError(
+            f"rho0 must be finite and Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITIAN_RTOL:g} of its largest entry {scale:.3e}")
+    entries = np.asarray(rho0.entries, dtype=np.complex128)
+    entries = 0.5 * (entries + entries.conj().T)
+    if t == 0:
+        return DensityMatrix(rho0.grid, entries)
+    rhs = _rhs(h, rates)
     n_steps = max(1, math.ceil(t / dt - 1e-12))
-    out = _rk4(rho0.entries, h_mat, rates, t, n_steps)
+    out = _rk4(entries, rhs, t, n_steps)
     if validate:
-        fine = _rk4(rho0.entries, h_mat, rates, t, 2 * n_steps)
+        fine = _rk4(entries, rhs, t, 2 * n_steps)
         err = float(np.max(np.abs(out - fine)))
-        if err > 1e-6:
+        if not err <= 1e-6:
             raise StepTooLargeError(
                 f"step-halving disagreement {err:.3e} > 1e-6; reduce dt")
     return DensityMatrix(rho0.grid, out)

@@ -14,7 +14,8 @@ from collapsim.archive import (
 )
 from collapsim.cli import main, run_simulate
 from collapsim.config import RunConfig
-from collapsim.errors import ArchiveError, ConfigError
+from collapsim.errors import ArchiveError, ConfigError, DegenerateStateError
+from collapsim.grid import WaveFunction
 
 HYBRID_CFG = """
 # a small hybrid run
@@ -257,6 +258,19 @@ class TestCsv:
                                                    rel=1e-12)
             assert int(cols[6]) == flags
 
+    def test_summary_csv_rejects_empty_and_vanishing(self, tmp_path):
+        cfg = RunConfig.from_text(GRW_CFG)
+        out = os.path.join(tmp_path, "sum")
+        run_simulate(cfg, out)
+        reader = read_archive(os.path.join(out, "grw_archive.cldn"))
+        with pytest.raises(ArchiveError):
+            summary_csv([], reader.sample_times)
+        rec = reader.records[0]
+        zero = WaveFunction(reader.grid, np.zeros_like(rec.states[0].amplitudes))
+        rec.states = (zero,) + rec.states[1:]
+        with pytest.raises(DegenerateStateError):
+            summary_csv(reader.records, reader.sample_times)
+
     def test_diosi_outputs_carry_the_snapped_times(self, tmp_path):
         # 0.1 and 0.3 at n_substeps = 64 are taken at steps 6 and 19
         cfg = RunConfig.from_text(
@@ -313,6 +327,22 @@ class TestCliDeterminism:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize("key, value", [("mu", "nan"), ("alpha", "inf"),
+                                            ("master_dt", "nan"), ("master_dt", "0"),
+                                            ("master_dt", "inf")])
+    def test_master_non_finite_input_fails_closed(self, tmp_path, capsys, key, value):
+        cfg_path = os.path.join(tmp_path, "m.cfg")
+        body = {"mu": "2.0", "alpha": "1.0", "master_dt": "2e-4", key: value}
+        open(cfg_path, "w").write(
+            "model = master\nmaster_model = grw\nseed = 5\nx_min = -12\n"
+            "x_max = 12\nn_points = 32\nt_max = 0.2\nsample_times = 0.2\n"
+            + "".join(f"{k} = {v}\n" for k, v in body.items()))
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError") and "\n" not in err.strip()
+        assert not os.path.exists(os.path.join(out, "master_rho.csv"))
 
     def test_master_run(self, tmp_path):
         text = """

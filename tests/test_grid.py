@@ -30,6 +30,7 @@ from collapsim import (
     position_mean,
     schrodinger_step,
 )
+from collapsim.grid import position_moments, position_variance
 
 # closed-form Gaussian integrals, mpmath quad to 30 digits
 FLOW_NORM2_ORACLE = 0.961111655728003535763819051508  # lam=1, dxi=0.3, dt=0.1, sigma=1
@@ -97,6 +98,37 @@ class TestPacket:
             make_gaussian_packet(grid, 1.5, 0.05)
         phi = make_gaussian_packet(grid, 1.5, 0.2)
         assert position_mean(phi) == pytest.approx(1.5, abs=1e-8)
+
+
+class TestPositionMoments:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_rows_match_the_per_state_loop(self, dtype):
+        # each row reduction gives the bits of the one-state formulas
+        grid = Grid(128, -16.0, 16.0)
+        rng = np.random.default_rng(3)
+        amps = (rng.normal(size=(50, 128)) + 1j * rng.normal(size=(50, 128))).astype(dtype)
+        amps *= np.exp(-0.05 * (grid.x - rng.uniform(-5, 5, size=(50, 1))) ** 2)
+        means, variances = [], []
+        for a in amps:
+            d = np.abs(a) ** 2
+            total = d.sum()
+            m = float((grid.x * d).sum() / total)
+            means.append(m)
+            variances.append(float(((grid.x - m) ** 2 * d).sum() / total))
+        mean, var = position_moments(amps, grid)
+        assert mean.tolist() == means
+        assert var.tolist() == variances
+        phi = WaveFunction(grid, amps[7])
+        assert (position_mean(phi), position_variance(phi)) == (means[7], variances[7])
+
+    def test_vanishing_row_raises(self):
+        grid = Grid(16, -4.0, 4.0)
+        amps = np.ones((3, 16), dtype=complex)
+        amps[1] = 0.0
+        with pytest.raises(DegenerateStateError):
+            position_moments(amps, grid)
+        with pytest.raises(DegenerateStateError):
+            position_variance(WaveFunction(grid, amps[1]))
 
 
 class TestSchrodingerStep:

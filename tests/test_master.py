@@ -1,7 +1,11 @@
 """Master-equation tests: closed forms, conservation laws, ensemble consistency."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsim import (
     DensityMatrix,
@@ -20,11 +24,14 @@ from collapsim import (
 from collapsim.errors import InvalidParameterError, StepTooLargeError
 from collapsim.grid import cosine_potential
 from collapsim.master import (
+    HERMITIAN_RTOL,
+    _rhs,
     density_max_gap,
     diosi_decoherence_rates,
     ensemble_density_se,
     grw_decoherence_rates,
     hamiltonian_matrix,
+    kinetic_matrix,
 )
 
 GRID = Grid(32, -12.0, 12.0)
@@ -134,3 +141,111 @@ class TestRateStructure:
         mask = (z > 0) & (z <= 0.01)
         rel = np.abs(z[mask] - (1.0 - np.exp(-z[mask]))) / z[mask]
         assert rel.max() < 0.01
+
+
+def _hamiltonian(grid, kind):
+    if kind == "zero":
+        return HamiltonianSpec.zero(grid)
+    if kind == "free":
+        return HamiltonianSpec.free(grid)
+    v = cosine_potential(grid, 0.5)
+    return HamiltonianSpec(grid, v, kinetic=kind == "cos")
+
+
+def _random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (a + a.conj().T)
+
+
+class TestOneGemmRhs:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([8, 32, 128]),
+           kind=st.sampled_from(["zero", "free", "cos", "potential_only"]),
+           mu=st.floats(0.1, 50.0), alpha=st.floats(0.01, 4.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_two_gemm_oracle(self, n, kind, mu, alpha, seed):
+        grid = Grid(n, -12.0, 12.0)
+        h = _hamiltonian(grid, kind)
+        rates = grw_decoherence_rates(grid, mu, alpha)
+        r = _random_hermitian(n, seed)
+        h_mat = hamiltonian_matrix(h)
+        oracle = -1j * (h_mat @ r - r @ h_mat) - rates * r
+        got = _rhs(h, rates)(r)
+        scale = np.max(np.abs(h_mat @ r)) + np.max(np.abs(rates * r))
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
+
+    def test_kinetic_matrix_real_symmetric_and_spectral(self):
+        for grid in (Grid(8, -4.0, 4.0), GRID, Grid(128, -16.0, 16.0)):
+            t_mat = kinetic_matrix(grid)
+            assert t_mat.dtype == np.float64
+            assert np.array_equal(t_mat, t_mat.T)
+            n = grid.n_points
+            old = np.fft.ifft((0.5 * grid.k**2)[:, None]
+                              * np.fft.fft(np.eye(n, dtype=complex), axis=0), axis=0)
+            assert np.max(np.abs(t_mat - old)) <= 1e-14 * np.max(np.abs(old))
+            h = HamiltonianSpec(grid, cosine_potential(grid, 0.5))
+            mat = hamiltonian_matrix(h)
+            assert mat.dtype == np.complex128
+            assert np.array_equal(mat, t_mat + np.diag(h.potential))
+
+    @pytest.mark.parametrize("kind", ["zero", "free", "cos", "potential_only"])
+    def test_outputs_exactly_hermitian(self, kind):
+        h = _hamiltonian(GRID, kind)
+        assert evolve_grw_master(RHO0, h, 2.0, 1.0, 0.3, 1e-3).hermiticity_defect() == 0.0
+        assert evolve_diosi_master(RHO0, h, 1.0, 0.3, 1e-3).hermiticity_defect() == 0.0
+
+    def test_non_hermitian_rho0_raises(self):
+        h = HamiltonianSpec(GRID, cosine_potential(GRID, 0.5))
+        bad = RHO0.entries.copy()
+        bad[3, 5] += 1e-6
+        with pytest.raises(InvalidParameterError):
+            evolve_grw_master(DensityMatrix(GRID, bad), h, 2.0, 1.0, 0.1, 1e-3)
+        with pytest.raises(InvalidParameterError):
+            evolve_diosi_master(DensityMatrix(GRID, bad), h, 1.0, 0.0, 1e-3)
+        bad = RHO0.entries.copy()
+        bad[2, 2] = np.nan
+        with pytest.raises(InvalidParameterError):
+            evolve_diosi_master(DensityMatrix(GRID, bad), h, 1.0, 0.1, 1e-3)
+
+    def test_rho0_within_tolerance_is_symmetrized(self):
+        h = HamiltonianSpec(GRID, cosine_potential(GRID, 0.5))
+        near = RHO0.entries.copy()
+        near[3, 5] += 0.5 * HERMITIAN_RTOL * np.max(np.abs(near))
+        rho = evolve_grw_master(DensityMatrix(GRID, near), h, 2.0, 1.0, 0.1, 1e-3)
+        assert rho.hermiticity_defect() == 0.0
+        ref = evolve_grw_master(RHO0, h, 2.0, 1.0, 0.1, 1e-3)
+        assert np.max(np.abs(rho.entries - ref.entries)) <= 1e-12
+
+
+class TestNonFiniteInputs:
+    H = HamiltonianSpec(GRID, cosine_potential(GRID, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_grw_rates_parameters(self, bad):
+        with pytest.raises(InvalidParameterError):
+            evolve_grw_master(RHO0, self.H, bad, 1.0, 0.1, 1e-3)
+        with pytest.raises(InvalidParameterError):
+            evolve_grw_master(RHO0, self.H, 2.0, bad, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_diosi_lam(self, bad):
+        with pytest.raises(InvalidParameterError):
+            evolve_diosi_master(RHO0, self.H, bad, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_time(self, bad):
+        with pytest.raises(InvalidParameterError):
+            evolve_grw_master(RHO0, self.H, 2.0, 1.0, bad, 1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
+    def test_step(self, bad):
+        with pytest.raises(InvalidParameterError):
+            evolve_diosi_master(RHO0, self.H, 1.0, 0.1, bad)
+
+    def test_step_halving_gate_fails_closed_on_nan(self):
+        # lam dt so large that RK4 overflows: both runs end in inf/nan
+        h0 = HamiltonianSpec.zero(GRID)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StepTooLargeError):
+            evolve_diosi_master(RHO0, h0, 1e100, 0.5, 0.5)
