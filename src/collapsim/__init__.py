@@ -55,7 +55,6 @@ from .diosi import (
     diosi_trajectory,
     hybrid_ensemble,
     hybrid_trajectory,
-    reweight_ensemble,
 )
 from .master import (
     DensityMatrix,
@@ -63,7 +62,7 @@ from .master import (
     evolve_diosi_master,
     evolve_grw_master,
 )
-from .records import FlashEvent, TrajectoryRecord, WeightedEnsemble
+from .records import FlashEvent, TrajectoryRecord, WeightedEnsemble, reweight_ensemble
 from .rng import WienerPath, stream
 from .verify import (
     TestFunctional,

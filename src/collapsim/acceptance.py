@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import RunConfig
-from .diosi import DiosiParams, HybridParams, diosi_ensemble, reweight_ensemble
+from .diosi import DiosiParams, HybridParams, diosi_ensemble
 from .grid import (
     CollapseSpec,
     Grid,
@@ -44,6 +44,7 @@ from .master import (
     grw_decoherence_rates,
     hamiltonian_matrix,
 )
+from .records import reweight_ensemble
 from .verify import (
     TestFunctional,
     TestReport,

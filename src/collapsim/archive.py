@@ -21,6 +21,10 @@ Record block:
 Amplitudes are stored as complex64; scalars as float64.  Reading and
 rewriting an archive is byte-identical, and the header binds the archive
 to the SHA-256 of its producing config: any header mutation fails closed.
+The records must agree with the header: every record's times are the
+header's sample_times, and the indices strictly increase.  The writer
+refuses records that break either rule, and the reader raises
+ArchiveError on them, as on a truncated file or trailing bytes.
 """
 
 import hashlib
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import ArchiveError
 from .grid import Grid, NORMALIZED, WaveFunction, position_moments
-from .records import FlashEvent, TrajectoryRecord
+from .records import FlashEvent, TrajectoryRecord, reweight_ensemble
 from .stats import effective_sample_size
 
 MAGIC = b"CLDN1\x00"
@@ -68,9 +72,21 @@ def _encode_record(rec, n_points):
     return b"".join(parts)
 
 
+def _check_records(records, sample_times):
+    """ArchiveError unless every record has the sample times and the indices increase."""
+    for i, rec in enumerate(records):
+        if tuple(map(float, rec.times)) != sample_times:
+            raise ArchiveError(f"record {rec.index} has times {rec.times}, not the "
+                               f"archive's sample_times {sample_times}")
+        if i and rec.index <= records[i - 1].index:
+            raise ArchiveError(f"record index {rec.index} follows {records[i - 1].index}; "
+                               f"indices must strictly increase")
+
+
 def write_archive(path, config, records, grid, sample_times):
     """Write records (ordered by trajectory index) bound to ``config``."""
     recs = sorted(records, key=lambda r: r.index)
+    _check_records(recs, tuple(map(float, sample_times)))
     header = _header_dict(config.sha256(), config.seed, grid, sample_times,
                           len(recs))
     header_bytes = json.dumps(header, sort_keys=True,
@@ -156,6 +172,7 @@ def read_archive(path, expected_config=None):
             flashes=tuple(flashes), boundary_flag=bool(bflag)))
     if off != len(blob):
         raise ArchiveError("trailing bytes after the last record")
+    _check_records(records, tuple(header["sample_times"]))
     return ArchiveReader(header, records, grid)
 
 
@@ -184,9 +201,9 @@ def summary_csv(records, sample_times):
     n = len(records)
     flags = str(sum(bool(r.boundary_flag) for r in records))
     for t in sample_times:
-        w = np.array([r.weight_at(t) for r in records])
-        states = [r.state_at(t) for r in records]
-        m1, var = position_moments(np.array([s.amplitudes for s in states]), states[0].grid)
+        ens = reweight_ensemble(records, t)
+        w = ens.weights
+        m1, var = position_moments(ens.amplitudes, ens.grid)
         # <x>^2 as a Python float power (libm pow, which can differ from x * x
         # in the last bit): each row is position_variance + position_mean ** 2
         m2 = var + np.array([m**2 for m in m1.tolist()])
@@ -208,11 +225,12 @@ def density_csv(records, t, max_points=128):
     """
     if not records:
         raise ArchiveError("no records to export")
-    grid = records[0].state_at(t).grid
-    n = len(records)
-    dens = np.empty((n, grid.n_points))
-    for i, rec in enumerate(records):
-        dens[i] = rec.weight_at(t) * np.abs(rec.state_at(t).amplitudes) ** 2
+    ens = reweight_ensemble(records, t)
+    grid, n = ens.grid, ens.n
+    d = np.abs(ens.amplitudes) ** 2
+    # w_i |phi_i|^2 in the precision of the amplitudes (float32 for an
+    # archive's complex64), averaged in float64
+    dens = (ens.weights.astype(d.dtype)[:, None] * d).astype(np.float64)
     mean = dens.mean(axis=0)
     se = dens.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
     stride = max(1, -(-grid.n_points // max_points))

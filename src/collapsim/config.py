@@ -97,7 +97,7 @@ class RunConfig:
                 raise ConfigError("master_model must be grw or diosi")
         if self.potential not in ("none", "cos"):
             raise ConfigError("potential must be 'none' or 'cos'")
-        if any(t < 0 or t > self.t_max for t in self.sample_times):
+        if not all(0 <= t <= self.t_max for t in self.sample_times):  # NaN fails too
             raise ConfigError("sample_times must lie in [0, t_max]")
         return self
 

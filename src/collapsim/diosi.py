@@ -12,10 +12,16 @@ the spec passes in: it acts in place on the evolved rows of factor k and
 gives back their raw squared norms, which the engine keeps for the flash
 records.  At a sample time a snapshot hook records the raw squared norm
 (the weight) and, on a copy after the residual unitary, the normalized
-state and the boundary mass.  Every operation acts row by row (elementwise
-products, FFTs along the last axis, per-row sums and per-row random
-streams), so a row's bytes do not depend on its batch or its block, and a
-single trajectory is a batch of one.
+state and the boundary mass.
+
+The row operations themselves are defined once, in ``grid``:
+``_unitary_rows``, ``_flow_rows``, ``_norm2_rows`` and ``_normalize_rows``
+(the GRW hit adds ``_hit_rows``).  The single-state propagators there are
+the same operations on a batch of one.  This module holds the engine, the
+factor schedules and the fetching of Wiener increments.  Every operation
+acts row by row (elementwise products, FFTs along the last axis, per-row
+sums and per-row random streams), so a row's bytes do not depend on its
+batch or its block, and a single trajectory is a batch of one.
 
 Three processes are thin specs over the engine:
 
@@ -53,22 +59,24 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DegenerateStateError, InvalidParameterError, StepTooLargeError
+from .errors import InvalidParameterError
 from .grid import (
-    _EXP_OVERFLOW_LIMIT,
     BOUNDARY_MASS_LIMIT,
     NORMALIZED,
     WaveFunction,
-    _apply_split_step,
     _boundary_masses,
     _check_flow_budget,
+    _flow_rows,
+    _norm2_rows,
+    _normalize_rows,
     _require_positive,
     _split_phases,
     _substep_cap,
+    _unitary_rows,
     _validate_sample_times,
     _validate_substep,
 )
-from .records import FlashEvent, TrajectoryRecord, WeightedEnsemble, reweight_ensemble
+from .records import FlashEvent, TrajectoryRecord
 
 __all__ = [
     "DiosiParams",
@@ -77,8 +85,6 @@ __all__ = [
     "diosi_ensemble",
     "hybrid_trajectory",
     "hybrid_ensemble",
-    "reweight_ensemble",
-    "WeightedEnsemble",
 ]
 
 # Amplitudes per row block (256 KiB of complex128), so that a block's
@@ -167,62 +173,14 @@ class _Batch(NamedTuple):
     n_flashes: np.ndarray = None  # (N,)
 
 
-def _norm2_rows(amps, dx):
-    return (amps.real**2 + amps.imag**2).sum(axis=1) * dx
-
-
-def _unitary_rows(amps, h, tau, cap, phases=None):
-    """exp(-i tau_r H) on row r of amps, as composed split steps.
-
-    ``tau`` is either a float, for one split step of every row with the
-    precomputed ``phases``, or an array of per-row durations.  With an
-    array, a row with tau_r = 0 is left as it is, and when V and the kinetic
-    term are both present row r takes ceil(tau_r / cap) equal split steps
-    (one step otherwise, which is exact).  Rows of ``amps`` may be
-    overwritten; returns the evolved array.
-    """
-    if h.is_zero:
-        return amps
-    if phases is not None:
-        return _apply_split_step(amps, *phases)
-    live = np.flatnonzero(tau > 0)
-    t = tau[live]
-    if cap is None or h.potential_is_zero or not h.kinetic:
-        steps = np.ones(live.size, dtype=np.int64)
-    else:
-        steps = np.maximum(1, np.ceil(t / cap - 1e-12)).astype(np.int64)
-    # rows needing the most substeps first: those still needing one are a prefix
-    order = np.argsort(-steps, kind="stable")
-    live, t, steps = live[order], t[order], steps[order]
-    phase = (-0.5j * (t / steps))[:, None]
-    exp_v = None if h.potential_is_zero else np.exp(phase * h.potential)
-    exp_t = np.exp(phase * h.grid.k**2) if h.kinetic else None
-    sub = amps[live]
-    for s in range(int(steps.max(initial=0))):
-        m = int(np.count_nonzero(steps > s))
-        if m == live.size:
-            sub = _apply_split_step(sub, exp_v, exp_t)
-        else:
-            sub[:m] = _apply_split_step(
-                sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)))
-    amps[live] = sub
-    return amps
-
-
 def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
     """The exact collapse flow over mesh cells of length dt, as an engine factor.
 
-    Factor k multiplies row r by exp(sqrt(lam) x dxi - lam dt x^2), where dxi
-    is ``increments(k0, k1)[r, k - k0]``, fetched for cells k0 <= k < k1 at
+    Factor k applies ``grid._flow_rows`` to row r with dxi
+    ``increments(k0, k1)[r, k - k0]``, fetched for cells k0 <= k < k1 at
     most ``_MAX_INCREMENT_ELEMENTS`` at a time and never past ``n_cells``.
     Returns the raw squared norms after the flow when ``norms``, else None.
-    Raises StepTooLargeError when a realized exponent would overflow; its
-    maximum over x is dxi^2 / (4 dt), so rows with dxi^2 <= 4 dt * limit
-    need no look at the exponent.
     """
-    sqrt_lam_x = math.sqrt(lam) * grid.x
-    damp = lam * dt * grid.x * grid.x
-    bound = 4.0 * dt * _EXP_OVERFLOW_LIMIT
     buf = np.empty((rows, grid.n_points))
     chunk = max(1, _MAX_INCREMENT_ELEMENTS // max(rows, 1))
     if chunk > rngmod.WIENER_BLOCK:  # end chunks on Wiener block boundaries
@@ -234,12 +192,7 @@ def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
             held[:2] = k, min(n_cells, k + chunk)
             held[2] = increments(*held[:2])
         dxi = held[2][act, k - held[0]]
-        e = np.multiply(dxi[:, None], sqrt_lam_x[None, :], out=buf[:dxi.size])
-        e -= damp
-        if dxi.size and np.max(dxi * dxi) > bound and e.max() > _EXP_OVERFLOW_LIMIT:
-            raise StepTooLargeError("collapse-flow exponent would overflow")
-        np.exp(e, out=e)
-        amps *= e
+        _flow_rows(amps, grid, lam, dt, dxi, out=amps, buf=buf[:dxi.size])
         return _norm2_rows(amps, grid.dx) if norms else None
 
     return flow
@@ -295,10 +248,7 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
         snap = amps if residual is None else _unitary_rows(amps.copy(), h, residual[:, j], cap)
         flags[:, j] = _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
         if store_states:
-            w = _norm2_rows(snap, dx)
-            if not np.all(w > 1e-300):
-                raise DegenerateStateError("cannot normalize a numerically vanishing state")
-            states[:, j] = snap / np.sqrt(w)[:, None]
+            _normalize_rows(snap, _norm2_rows(snap, dx), out=states[:, j])
     return _Batch(weights, states, flags, norms)
 
 

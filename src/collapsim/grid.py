@@ -1,15 +1,26 @@
-"""Wavefunctions on a uniform 1-D grid and the elementary propagators.
+"""Wavefunctions on a uniform 1-D grid and the row operations of the Trotter product.
 
 This module provides the discretized Hilbert space shared by the jump and
 diffusion collapse models: Gaussian packets, the split-step spectral
 Schrodinger propagator, the raw Gaussian hit multiplication, and the exact
 Gaussian collapse flow exp(sqrt(lambda) x dxi - lambda x^2 dt).
 
+Each operation is defined once, on (rows, n) amplitude arrays: the squared
+norms ``_norm2_rows``, the unitary ``_unitary_rows`` (composed split steps
+with per-row durations), the flow ``_flow_rows`` with its overflow guard,
+the hit ``_hit_rows`` and ``_normalize_rows`` with its vanishing-state
+check.  The Trotter engine in ``diosi`` applies them to its row blocks.
+The single-state functions (``schrodinger_step``, ``evolve_unitary``,
+``collapse_flow``, ``gaussian_hit``, ``normalize``, the moments and the
+boundary mass) check their arguments and then call the row operation on
+a batch of one, so the checks that exercise them exercise the engine's
+arithmetic.
+
 Conventions: hbar = 1, mass = 1, H = -1/2 d^2/dx^2 + V(x) with V bounded.
 Boundary conditions are periodic (spectral propagator); quadrature is the
 plain rectangle rule sum |psi_j|^2 dx, which is consistent with the DFT
 Parseval identity, so the split step preserves the discrete norm exactly.
-All operations are pure: state in, new state out.
+The single-state functions are pure: state in, new state out.
 """
 
 import math
@@ -30,7 +41,7 @@ from .errors import (
 RAW = "raw"
 NORMALIZED = "normalized"
 
-# Largest exponent handed to np.exp inside collapse_flow before raising.
+# Largest exponent handed to np.exp inside the collapse flow before raising.
 _EXP_OVERFLOW_LIMIT = 700.0
 
 # Default cap on the duration of a single split step when V != 0.
@@ -60,7 +71,7 @@ def _substep_cap(unitary_substep):
 
 def _validate_sample_times(sample_times, t_max):
     times = tuple(float(t) for t in sample_times)
-    if any(t < 0 or t > t_max + 1e-12 for t in times):
+    if not all(0 <= t <= t_max + 1e-12 for t in times):  # NaN fails too
         raise InvalidParameterError("sample_times must lie in [0, t_max]")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise InvalidParameterError("sample_times must be strictly increasing")
@@ -179,11 +190,13 @@ def norm2(psi):
 
 
 def normalize(psi):
-    """Return psi / ||psi|| with label 'normalized'."""
-    n2 = norm2(psi)
-    if not (n2 > 1e-300):
-        raise DegenerateStateError("cannot normalize a numerically vanishing state")
-    return WaveFunction(psi.grid, psi.amplitudes / math.sqrt(n2), NORMALIZED)
+    """Return psi / ||psi|| with label 'normalized'.
+
+    The squared norm is norm2's; the division and the vanishing-state
+    check are _normalize_rows on a batch of one.
+    """
+    out = _normalize_rows(psi.amplitudes[None, :], np.array([norm2(psi)]))
+    return WaveFunction(psi.grid, out[0], NORMALIZED)
 
 
 def inner(psi, chi):
@@ -233,6 +246,21 @@ def make_gaussian_packet(grid, center, sigma, momentum=0.0):
     return normalize(WaveFunction(grid, amps.astype(np.complex128)))
 
 
+def _norm2_rows(amps, dx):
+    """Squared norm sum |psi_j|^2 dx of each row of (rows, n) amplitudes."""
+    return (amps.real**2 + amps.imag**2).sum(axis=1) * dx
+
+
+def _normalize_rows(amps, n2, out=None):
+    """Row r of amps divided by sqrt(n2[r]); ``out`` may be amps itself.
+
+    Raises DegenerateStateError unless every n2 exceeds 1e-300.
+    """
+    if not np.all(n2 > 1e-300):
+        raise DegenerateStateError("cannot normalize a numerically vanishing state")
+    return np.divide(amps, np.sqrt(n2)[:, None], out=out)
+
+
 def _split_phases(h, dt):
     """Potential-half and kinetic phase factors for one symmetric split step."""
     exp_v_half = None
@@ -258,27 +286,95 @@ def _apply_split_step(amps, exp_v_half, exp_t):
     return out
 
 
+def _unitary_rows(amps, h, tau, cap, phases=None):
+    """exp(-i tau_r H) on row r of amps, as composed split steps.
+
+    ``tau`` is either a float, for one split step of every row with the
+    precomputed ``phases``, or an array of per-row durations.  With an
+    array, a row with tau_r = 0 is left as it is; row r takes
+    ceil(tau_r / cap) equal split steps when V and the kinetic term are
+    both present and cap is not None, and one step otherwise (exact when
+    either term is absent).  A step is exp(-i dt V/2) exp(-i dt T)
+    exp(-i dt V/2), so a potential-only H takes two half phases.  Rows of
+    ``amps`` may be overwritten; returns the evolved array.
+    """
+    if h.is_zero:
+        return amps
+    if phases is not None:
+        return _apply_split_step(amps, *phases)
+    live = np.flatnonzero(tau > 0)
+    t = tau[live]
+    if cap is None or h.potential_is_zero or not h.kinetic:
+        steps = np.ones(live.size, dtype=np.int64)
+    else:
+        steps = np.maximum(1, np.ceil(t / cap - 1e-12)).astype(np.int64)
+    # rows needing the most substeps first: those still needing one are a prefix
+    order = np.argsort(-steps, kind="stable")
+    live, t, steps = live[order], t[order], steps[order]
+    phase = (-0.5j * (t / steps))[:, None]
+    exp_v = None if h.potential_is_zero else np.exp(phase * h.potential)
+    exp_t = np.exp(phase * h.grid.k**2) if h.kinetic else None
+    sub = amps[live]
+    for s in range(int(steps.max(initial=0))):
+        m = int(np.count_nonzero(steps > s))
+        if m == live.size:
+            sub = _apply_split_step(sub, exp_v, exp_t)
+        else:
+            sub[:m] = _apply_split_step(
+                sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)))
+    amps[live] = sub
+    return amps
+
+
+def _hit_rows(amps, grid, alpha, centers, out=None):
+    """Row r of amps times the raw hit (alpha/pi)^(1/4) exp(-(alpha/2)(x - centers[r])^2).
+
+    ``out`` may be amps itself.
+    """
+    factor = (alpha / np.pi) ** 0.25 * np.exp(-0.5 * alpha * (grid.x - centers[:, None]) ** 2)
+    return np.multiply(amps, factor, out=out)
+
+
+def _flow_rows(amps, grid, lam, dt, dxi, out=None, buf=None):
+    """Row r of amps times the flow exp(sqrt(lam) x dxi[r] - lam dt x^2).
+
+    ``out`` may be amps itself, and ``buf`` a (rows, n) float scratch array
+    for the exponent.  Raises StepTooLargeError when a realized exponent
+    would overflow; its maximum over x is dxi^2 / (4 dt), so rows with
+    dxi^2 <= 4 dt * limit need no look at the exponent.
+    """
+    e = np.multiply(dxi[:, None], math.sqrt(lam) * grid.x, out=buf)
+    e -= lam * dt * grid.x * grid.x
+    if (dxi.size and np.max(dxi * dxi) > 4.0 * dt * _EXP_OVERFLOW_LIMIT
+            and e.max() > _EXP_OVERFLOW_LIMIT):
+        raise StepTooLargeError("collapse-flow exponent would overflow")
+    np.exp(e, out=e)
+    return np.multiply(amps, e, out=out)
+
+
+def _evolve_one(psi, h, duration, cap):
+    """_unitary_rows on psi as a batch of one; psi itself when nothing moves."""
+    if duration < 0:
+        raise InvalidParameterError("the duration of a unitary must be nonnegative")
+    if psi.grid != h.grid:
+        raise GridMismatchError("state and Hamiltonian grids differ")
+    if duration == 0 or h.is_zero:
+        return psi
+    amps = np.array(psi.amplitudes[None, :], dtype=np.complex128)
+    out = _unitary_rows(amps, h, np.array([float(duration)]), cap)
+    return WaveFunction(psi.grid, out[0], psi.label)
+
+
 def schrodinger_step(psi, h, dt):
     """One symmetric split step exp(-i dt V/2) exp(-i dt T) exp(-i dt V/2).
 
     Unitary up to roundoff: the potential phases are diagonal and the
     kinetic phase acts in the Fourier domain, where the DFT preserves the
     rectangle-rule norm.  dt = 0 returns the input unchanged; the local
-    error of a single step is O(dt^3) for bounded V.
+    error of a single step is O(dt^3) for bounded V.  This is _unitary_rows
+    on a batch of one.
     """
-    if dt < 0:
-        raise InvalidParameterError("dt must be nonnegative")
-    if psi.grid != h.grid:
-        raise GridMismatchError("state and Hamiltonian grids differ")
-    if dt == 0 or h.is_zero:
-        return psi
-    exp_v_half, exp_t = _split_phases(h, dt)
-    if exp_t is None:
-        # potential-only generator: single full phase is exact
-        out = psi.amplitudes * np.exp(-1j * dt * h.potential)
-    else:
-        out = _apply_split_step(psi.amplitudes, exp_v_half, exp_t)
-    return WaveFunction(psi.grid, out, psi.label)
+    return _evolve_one(psi, h, dt, None)
 
 
 def evolve_unitary(psi, h, duration, max_step=None):
@@ -286,35 +382,24 @@ def evolve_unitary(psi, h, duration, max_step=None):
 
     For V = 0 the kinetic phase is exact at any duration, so a single step
     is used; likewise a pure potential phase.  Only the mixed case is
-    substepped (default cap DEFAULT_UNITARY_SUBSTEP).
+    substepped (default cap DEFAULT_UNITARY_SUBSTEP).  This is
+    _unitary_rows on a batch of one, as the engine applies it to a row.
     """
-    if duration < 0:
-        raise InvalidParameterError("duration must be nonnegative")
-    if duration == 0 or h.is_zero:
-        return psi
-    if h.potential_is_zero or not h.kinetic:
-        return schrodinger_step(psi, h, duration)
-    cap = DEFAULT_UNITARY_SUBSTEP if max_step is None else float(max_step)
-    n = max(1, math.ceil(duration / cap - 1e-12))
-    dt = duration / n
-    exp_v_half, exp_t = _split_phases(h, dt)
-    out = psi.amplitudes
-    for _ in range(n):
-        out = _apply_split_step(out, exp_v_half, exp_t)
-    return WaveFunction(psi.grid, out, psi.label)
+    _validate_substep(max_step)
+    return _evolve_one(psi, h, duration, _substep_cap(max_step))
 
 
 def gaussian_hit(psi, center, alpha):
     """Raw GRW hit: multiply by (alpha/pi)^(1/4) exp(-(alpha/2)(x-center)^2).
 
     The output is unnormalized (label 'raw'); its squared norm equals the
-    flash density at ``center`` when psi is normalized.
+    flash density at ``center`` when psi is normalized.  This is _hit_rows
+    on a batch of one.
     """
     if alpha <= 0:
         raise InvalidParameterError("alpha must be positive")
-    x = psi.grid.x
-    factor = (alpha / np.pi) ** 0.25 * np.exp(-0.5 * alpha * (x - center) ** 2)
-    return WaveFunction(psi.grid, psi.amplitudes * factor, RAW)
+    out = _hit_rows(psi.amplitudes[None, :], psi.grid, alpha, np.array([float(center)]))
+    return WaveFunction(psi.grid, out[0], RAW)
 
 
 def _check_flow_budget(grid, lam, dt):
@@ -332,7 +417,8 @@ def collapse_flow(psi, c, dxi, dt):
     This is the closed-form solution of the stochastic part of the
     diffusion collapse equation over an interval with Wiener increment
     ``dxi`` and duration ``dt``; there is no time-stepping error, and the
-    flow composes additively in (dxi, dt).
+    flow composes additively in (dxi, dt).  This is _flow_rows on a batch
+    of one.
 
     Raises StepTooLargeError when lam * max(x^2) * dt exceeds the
     floating-point overflow budget, or when the realized exponent would
@@ -341,12 +427,8 @@ def collapse_flow(psi, c, dxi, dt):
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
     _check_flow_budget(psi.grid, c.lam, dt)
-    x = psi.grid.x
-    exponent = math.sqrt(c.lam) * dxi * x - c.lam * dt * x**2
-    peak = float(np.max(exponent))
-    if peak > _EXP_OVERFLOW_LIMIT:
-        raise StepTooLargeError("collapse-flow exponent would overflow")
-    return WaveFunction(psi.grid, psi.amplitudes * np.exp(exponent), RAW)
+    out = _flow_rows(psi.amplitudes[None, :], psi.grid, c.lam, dt, np.array([float(dxi)]))
+    return WaveFunction(psi.grid, out[0], RAW)
 
 
 def position_mean(psi):

@@ -11,8 +11,8 @@ Trajectories run on ``diosi._trotter_product``: factor k is the unitary
 from jump T_{k-1} to jump T_k followed by the hit factor, which draws each
 row's center from that row's evolved state on the row's own
 ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams, multiplies by
-(alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2), records the raw squared norm
-and renormalizes.  Snapshots are the normalized states after the residual
+(alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2) (``grid._hit_rows``), records
+the raw squared norm and renormalizes (``grid._normalize_rows``).  Snapshots are the normalized states after the residual
 unitary from the last jump; the weights are identically 1.
 """
 
@@ -22,12 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .diosi import _in_blocks, _norm2_rows, _records, _schedule, _trotter_product
+from .diosi import _in_blocks, _records, _schedule, _trotter_product
 from .errors import DegenerateStateError, InvalidParameterError
 from .grid import (
     BOUNDARY_MASS_LIMIT,
     NORMALIZED,
     _boundary_masses,
+    _hit_rows,
+    _norm2_rows,
+    _normalize_rows,
     _require_positive,
     _substep_cap,
     _validate_sample_times,
@@ -142,17 +145,14 @@ def _hit_factor(grid, alpha, keys, n_factors):
     r_all = np.arange(rows)
     centers = np.zeros((rows, n_factors))
     flags = np.zeros(rows, dtype=bool)
-    scale = (alpha / np.pi) ** 0.25
 
     def hit(amps, act, k):
         r = r_all[act]
         y = _sample_centers(amps, grid, alpha, uniforms[r, k], normals[r, k])
         centers[r, k] = y
-        amps *= scale * np.exp(-0.5 * alpha * (grid.x - y[:, None]) ** 2)
+        _hit_rows(amps, grid, alpha, y, out=amps)
         n2 = _norm2_rows(amps, grid.dx)
-        if not np.all(n2 > 1e-300):
-            raise DegenerateStateError("cannot normalize a numerically vanishing state")
-        amps /= np.sqrt(n2)[:, None]
+        _normalize_rows(amps, n2, out=amps)
         flags[r] |= _boundary_masses(amps, grid) > BOUNDARY_MASS_LIMIT
         return n2
 

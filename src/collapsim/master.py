@@ -34,6 +34,10 @@ from .grid import _require_positive
 
 MAX_MASTER_POINTS = 128
 
+# Most RK4 steps one solve may plan (step-halving validation then runs twice
+# as many); a longer solve raises InvalidParameterError before any step.
+MAX_RK4_STEPS = 100_000
+
 # Largest hermiticity defect of rho0, relative to its largest entry, that
 # the solvers accept (and remove by symmetrizing).
 HERMITIAN_RTOL = 1e-12
@@ -149,12 +153,16 @@ def _evolve(rho0, h, rates, t, dt, validate):
     HERMITIAN_RTOL relative to its largest entry (InvalidParameterError
     otherwise, and for non-finite entries) and is symmetrized, so the
     result is exactly Hermitian.  t must be finite and nonnegative, dt
-    positive and finite.  ``validate`` reruns at half the step and raises
-    StepTooLargeError unless the two agree to 1e-6.
+    positive and finite, and t / dt at most MAX_RK4_STEPS.  ``validate``
+    reruns at half the step and raises StepTooLargeError unless the two
+    agree to 1e-6.
     """
     if not 0 <= t < math.inf:
         raise InvalidParameterError(f"t must be finite and nonnegative, got {t!r}")
     _require_positive(dt=dt)
+    if not t / dt <= MAX_RK4_STEPS:
+        raise InvalidParameterError(
+            f"t / dt = {t / dt:.3g} RK4 steps exceeds the cap of {MAX_RK4_STEPS}; raise dt")
     if rho0.grid != h.grid:
         raise GridMismatchError("density matrix and Hamiltonian grids differ")
     defect = rho0.hermiticity_defect()
@@ -196,17 +204,6 @@ def evolve_diosi_master(rho0, h, lam, t, dt, validate=True):
     return _evolve(rho0, h, rates, t, dt, validate)
 
 
-def _stacked(ensemble):
-    """(grid, amplitudes (N, n) as complex128, weights (N,)) of an ensemble."""
-    if ensemble.n == 0:
-        raise InvalidParameterError("empty ensemble")
-    grid = ensemble.states[0].grid
-    if any(s.grid != grid for s in ensemble.states):
-        raise GridMismatchError("ensemble states live on different grids")
-    amps = np.array([s.amplitudes for s in ensemble.states], dtype=np.complex128)
-    return grid, amps, np.asarray(ensemble.weights, dtype=float)
-
-
 def _weighted_outer(amps, w):
     """(1/N) sum_i w_i amps_i amps_i^H as one matmul."""
     return (amps.T * w) @ amps.conj() / len(w)
@@ -219,8 +216,8 @@ def ensemble_density(ensemble):
     (the average of raw outer products under the reference measure); for
     jump ensembles all weights are 1.  Hermitian by construction.
     """
-    grid, amps, w = _stacked(ensemble)
-    return DensityMatrix(grid, _weighted_outer(amps, w))
+    amps = np.asarray(ensemble.amplitudes, dtype=np.complex128)
+    return DensityMatrix(ensemble.grid, _weighted_outer(amps, ensemble.weights))
 
 
 def density_max_gap(rho_hat, se, reference):
@@ -241,7 +238,7 @@ def ensemble_density_se(ensemble):
     The variance of the term w_i phi_i(x) conj(phi_i(y)), real and imaginary
     parts together, is E[w^2 |phi(x)|^2 |phi(y)|^2] - |rho(x, y)|^2.
     """
-    _, amps, w = _stacked(ensemble)
+    amps, w = np.asarray(ensemble.amplitudes, dtype=np.complex128), ensemble.weights
     big = len(w)
     mean = _weighted_outer(amps, w)
     dens = amps.real**2 + amps.imag**2

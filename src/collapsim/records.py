@@ -1,11 +1,19 @@
-"""Trajectory records and weighted ensembles shared by all process models."""
+"""Trajectory records and weighted ensembles shared by all process models.
+
+A TrajectoryRecord holds one trajectory's snapshots as WaveFunctions.  A
+WeightedEnsemble holds the ensemble at one time as arrays: the (N, n)
+amplitudes on one grid and the (N,) weights.  ``reweight_ensemble`` stacks
+it from the records; the density matrix, its standard error, the summary
+and the density export all read those arrays.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleMismatchError
-from .grid import WaveFunction
+from .errors import GridMismatchError, InvalidParameterError, ScheduleMismatchError
+from .grid import NORMALIZED, Grid, WaveFunction
+from .stats import mean_se
 
 
 def _time_index(times, t):
@@ -58,17 +66,27 @@ class TrajectoryRecord:
 
 @dataclass(eq=False)
 class WeightedEnsemble:
-    """States and importance weights of an ensemble at one time.
+    """Stacked states and importance weights of an ensemble at one time.
 
-    The weights are the raw squared norms under the reference measure and
-    are used unnormalized: the estimator of E[f] is sum(w_i f_i) / N, since
-    the reweighted measure has total mass E[w] = 1 (a martingale identity).
-    mean_weight therefore doubles as a correctness diagnostic.
+    ``amplitudes`` is the (N, n) array of the N normalized snapshots on
+    ``grid``, in the dtype the records carry (complex128 from the engine,
+    complex64 from an archive), and ``weights`` the (N,) raw squared norms.
+    The weights are used unnormalized: the estimator of E[f] is
+    sum(w_i f_i) / N, since the reweighted measure has total mass E[w] = 1
+    (a martingale identity), so mean_weight doubles as a correctness
+    diagnostic.
     """
 
     time: float
-    states: tuple
+    grid: Grid
+    amplitudes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.weights)
+        if n == 0 or self.amplitudes.shape != (n, self.grid.n_points):
+            raise InvalidParameterError(
+                "an ensemble needs N >= 1 rows of amplitudes on its grid and N weights")
 
     @property
     def n(self):
@@ -78,23 +96,24 @@ class WeightedEnsemble:
         return float(self.weights.mean())
 
     def expectation(self, f):
-        """(mean, standard error) of sum w_i f(state_i) / N."""
-        vals = np.array([f(s) for s in self.states], dtype=float)
-        g = self.weights * vals
-        mean = float(g.mean())
-        se = float(g.std(ddof=1) / np.sqrt(self.n)) if self.n > 1 else float("inf")
-        return mean, se
+        """(mean, standard error) of sum w_i f(state_i) / N; f takes a WaveFunction."""
+        vals = [f(WaveFunction(self.grid, a, NORMALIZED)) for a in self.amplitudes]
+        return mean_se(self.weights * np.array(vals, dtype=float))
 
 
 def reweight_ensemble(records, t) -> WeightedEnsemble:
-    """Collect (state, weight) pairs at time t from trajectory records.
+    """Stack the snapshots and weights of trajectory records at time t.
 
-    The weight of record i is its raw squared norm at t; records missing a
-    snapshot at t raise ScheduleMismatchError.
+    This is the one place an ensemble is stacked.  The weight of record i
+    is its raw squared norm at t.  Records missing a snapshot at t raise
+    ScheduleMismatchError, states on different grids GridMismatchError,
+    and an empty list InvalidParameterError.
     """
-    states = []
-    weights = np.empty(len(records))
-    for i, rec in enumerate(records):
-        states.append(rec.state_at(t))
-        weights[i] = rec.weight_at(t)
-    return WeightedEnsemble(time=float(t), states=tuple(states), weights=weights)
+    if not records:
+        raise InvalidParameterError("empty ensemble")
+    states = [rec.state_at(t) for rec in records]
+    grid = states[0].grid
+    if any(s.grid != grid for s in states):
+        raise GridMismatchError("ensemble states live on different grids")
+    return WeightedEnsemble(float(t), grid, np.array([s.amplitudes for s in states]),
+                            np.array([rec.weight_at(t) for rec in records], dtype=float))

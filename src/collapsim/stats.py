@@ -38,6 +38,13 @@ def chi2_sf(x, df):
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
+def mean_se(g):
+    """Sample mean of the terms g and its standard error (inf for fewer than two)."""
+    mean = float(g.mean())
+    se = float(g.std(ddof=1) / math.sqrt(g.size)) if g.size > 1 else float("inf")
+    return mean, se
+
+
 def effective_sample_size(weights):
     """(sum w)^2 / sum w^2; 0 for no weight mass.
 

@@ -18,10 +18,10 @@ import scipy.fft
 
 from . import rng as rngmod
 from .diosi import HybridParams, _diosi_arrays, _hybrid_arrays, _in_blocks, _trotter_product
-from .errors import InvalidParameterError
-from .grid import NORMALIZED, WaveFunction, inner, norm2, nyquist_mass_fraction
+from .errors import GridMismatchError, InvalidParameterError
+from .grid import WaveFunction, norm2, nyquist_mass_fraction
 from .grw import _flash_keys, _hit_factor
-from .stats import effective_sample_size, ks_2samp
+from .stats import effective_sample_size, ks_2samp, mean_se
 from . import grid as gridmod
 
 MIN_EFFECTIVE_SAMPLE_SIZE = 100.0
@@ -103,6 +103,9 @@ class TestFunctional:
       windowed_mean_position mean_k of the mean position restricted to |x| <= cap
       norm_cap               mean_k min(cap, ||phi_k||^2); f == 1 on normalized
                              states when cap >= 1
+
+    ``values`` evaluates it on the rows of a (rows, T, n) array of
+    snapshots at once; ``value`` is its batch of one.
     """
 
     kind: str
@@ -124,33 +127,36 @@ class TestFunctional:
             return math.sqrt(norm2(self.reference_state))
         return 2.0 * self.cap
 
+    def values(self, amps, grid):
+        """f of each row of (rows, T, n) snapshots on grid: a (rows,) array.
+
+        Each state's term has the bits of the same state taken alone: the
+        products <a, b> are np.vecdot, the conjugated dot product of inner
+        and norm2 (np.vdot); |z| is np.hypot, as Python's abs of a complex
+        (np.abs of a complex array can differ in the last bit); and the
+        windowed sum runs over a C-contiguous copy, as over a 1-D array.
+        """
+        if self.kind == "overlap_modulus":
+            ref = self.reference_state
+            if ref.grid != grid:
+                raise GridMismatchError("states and reference state live on different grids")
+            z = np.vecdot(ref.amplitudes, amps) * grid.dx
+            terms = np.minimum(self.cap, np.hypot(z.real, z.imag))
+        elif self.kind == "windowed_mean_position":
+            d = np.abs(amps) ** 2 * grid.dx
+            inside = np.ascontiguousarray((grid.x * d)[..., np.abs(grid.x) <= self.cap])
+            terms = np.clip(inside.sum(axis=-1), -self.cap, self.cap)
+        else:
+            terms = np.minimum(self.cap, np.vecdot(amps, amps).real * grid.dx)
+        return terms.mean(axis=-1)
+
     def value(self, states):
-        vals = []
-        for s in states:
-            if self.kind == "overlap_modulus":
-                v = min(self.cap, abs(inner(self.reference_state, s)))
-            elif self.kind == "windowed_mean_position":
-                x = s.grid.x
-                d = np.abs(s.amplitudes) ** 2 * s.grid.dx
-                v = float((x * d)[np.abs(x) <= self.cap].sum())
-                v = max(-self.cap, min(self.cap, v))
-            else:
-                v = min(self.cap, norm2(s))
-            vals.append(v)
-        return float(np.mean(vals)) if vals else 0.0
-
-
-def _functional_values(functional, grid, states):
-    """functional.value of each row of normalized snapshots (N, T, n)."""
-    return np.array([
-        functional.value([WaveFunction(grid, s, NORMALIZED) for s in row])
-        for row in states])
-
-
-def _weighted_mean_se(g):
-    mean = float(g.mean())
-    se = float(g.std(ddof=1) / math.sqrt(g.size)) if g.size > 1 else float("inf")
-    return mean, se
+        """f of a sequence of normalized states (0 when empty): values on a batch of one."""
+        if not states:
+            return 0.0
+        if any(s.grid != states[0].grid for s in states):
+            raise GridMismatchError("states live on different grids")
+        return float(self.values(np.array([[s.amplitudes for s in states]]), states[0].grid)[0])
 
 
 def _variance_with_se(z, w=None):
@@ -274,7 +280,7 @@ def check_norm_martingale(phi0, h, params, n_samples, seed, weight_bias=0.0,
     ratios = {}
     means = {}
     for j, t in enumerate(times):
-        mean, se = _weighted_mean_se(w[:, j])
+        mean, se = mean_se(w[:, j])
         means[f"t={t}"] = {"mean_weight": mean, "se": se}
         ratios[f"mean_t={t}"] = abs(mean - 1.0) / (3.0 * se)
     for j in range(len(times) - 1):
@@ -286,7 +292,7 @@ def check_norm_martingale(phi0, h, params, n_samples, seed, weight_bias=0.0,
             if sel.sum() < 20:
                 continue
             inc = w2[sel] - w1[sel]
-            mean, se = _weighted_mean_se(inc)
+            mean, se = mean_se(inc)
             ratios[f"increment_t{j}_bin{b}"] = abs(mean) / (3.0 * se)
     statistic = max(ratios.values())
     worst = max(ratios, key=ratios.get)
@@ -343,7 +349,7 @@ def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
     p_ref = DiosiParams(lam=ref_lam, n_substeps_per_unit_time=reference_substeps,
                         t_max=t_list[-1], sample_times=t_list)
     ref = _diosi_arrays(phi0, h, p_ref, seed, range(n_samples))
-    wf_ref = ref.weights[:, -1] * _functional_values(functional, phi0.grid, ref.states)
+    wf_ref = ref.weights[:, -1] * functional.values(ref.states, phi0.grid)
 
     per_mu = {}
     errors = []
@@ -355,7 +361,7 @@ def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
                             unitary_substep=unitary_substep)
         batch = _hybrid_arrays(phi0, h, p_mu, seed, range(n_samples))
         wts = batch.weights[:, -1]
-        wf = wts * _functional_values(functional, phi0.grid, batch.states)
+        wf = wts * functional.values(batch.states, phi0.grid)
         abs_dev = np.abs(wf - wf_ref)
         err = abs(float(wf.mean() - wf_ref.mean()))
         strong = float(abs_dev.mean())
@@ -432,7 +438,7 @@ def _kappa_mc(mu, s, t, n_samples, seed, stream_index, kappa_power):
         vals[done:done + take] = (kt - ks).astype(float) ** kappa_power * sum_x2 / mu**2
         tail[done:done + take] = np.where(kt > 6.0 * budget, kt.astype(float) ** 2, 0.0)
         done += take
-    mean, se = _weighted_mean_se(vals)
+    mean, se = mean_se(vals)
     return mean, se, float(tail.mean())
 
 
@@ -539,7 +545,7 @@ def check_condition_I_bound(phi, t_list, n_samples, seed, noise_scale=1.0):
         gk *= -(k**2)
         lap = scipy.fft.ifft(gk, axis=1)
         lhs = (lap.real**2 + lap.imag**2).sum(axis=1) * grid.dx
-        mean, se = _weighted_mean_se(lhs)
+        mean, se = mean_se(lhs)
         rhs = _condition_rhs(phi, t)
         slack = 1.0 + 5.0 * (se / mean if mean > 0 else 0.0)
         estimates[f"t={t}"] = {"estimate": mean, "se": se, "rhs": rhs,

@@ -2,9 +2,12 @@
 
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsim.archive import (
     density_csv,
@@ -15,7 +18,8 @@ from collapsim.archive import (
 from collapsim.cli import main, run_simulate
 from collapsim.config import RunConfig
 from collapsim.errors import ArchiveError, ConfigError, DegenerateStateError
-from collapsim.grid import WaveFunction
+from collapsim.grid import Grid, WaveFunction
+from collapsim.records import FlashEvent, TrajectoryRecord
 
 HYBRID_CFG = """
 # a small hybrid run
@@ -83,11 +87,36 @@ class TestConfig:
         other = RunConfig.from_text(HYBRID_CFG.replace("seed = 99", "seed = 100"))
         assert a.sha256() != other.sha256()
 
+    @pytest.mark.parametrize("times", ["nan", "0.25, nan", "inf", "-inf, 0.5"])
+    def test_non_finite_sample_times_rejected(self, times):
+        with pytest.raises(ConfigError, match="sample_times"):
+            RunConfig.from_text(GRW_CFG.replace("sample_times = 0.25, 0.5",
+                                                f"sample_times = {times}"))
+
+    def test_nan_sample_time_fails_before_any_work(self, tmp_path, capsys):
+        cfg_path = os.path.join(tmp_path, "nan.cfg")
+        open(cfg_path, "w").write(GRW_CFG.replace("sample_times = 0.25, 0.5",
+                                                  "sample_times = nan"))
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError")
+        assert not os.path.exists(out)
+
     def test_bool_parsing(self):
         cfg = RunConfig.from_text(HYBRID_CFG + "deterministic_times = yes\n")
         assert cfg.deterministic_times is True
         with pytest.raises(ConfigError):
             RunConfig.from_text(HYBRID_CFG + "kinetic = maybe\n")
+
+
+def _record_starts(blob, records, n_points):
+    """Byte offsets of each record block and of the end, from the documented layout."""
+    (hlen,) = struct.unpack_from("<I", blob, 6)
+    starts = [6 + 4 + hlen + 32]
+    for rec in records:
+        starts.append(starts[-1] + 13 + 24 * len(rec.flashes) + 4
+                      + len(rec.times) * (16 + 8 * n_points))
+    return starts
 
 
 class TestArchive:
@@ -148,13 +177,7 @@ class TestArchive:
                if p.endswith(".cldn")][0]
         blob = open(arc, "rb").read()
         reader = read_archive(arc, expected_config=cfg)
-        n = reader.grid.n_points
-        # byte offsets of each record, from the documented layout
-        (hlen,) = struct.unpack_from("<I", blob, 6)
-        starts = [6 + 4 + hlen + 32]
-        for rec in reader.records:
-            starts.append(starts[-1] + 13 + 24 * len(rec.flashes) + 4
-                          + len(rec.times) * (16 + 8 * n))
+        starts = _record_starts(blob, reader.records, reader.grid.n_points)
         assert starts[-1] == len(blob)
         k = next(i for i, r in enumerate(reader.records) if r.flashes)
         cuts = {
@@ -176,6 +199,105 @@ class TestArchive:
             assert rc == 2, where
             assert err.startswith("error: ArchiveError: ") and err.count("\n") == 1, where
             assert not os.path.exists(dest)
+
+
+class TestArchiveRecordChecks:
+    def _archive(self, tmp_path):
+        cfg = RunConfig.from_text(GRW_CFG)
+        arc = [p for p in run_simulate(cfg, os.path.join(tmp_path, "run"))
+               if p.endswith(".cldn")][0]
+        reader = read_archive(arc)
+        blob = bytearray(open(arc, "rb").read())
+        return cfg, reader, blob, _record_starts(blob, reader.records, reader.grid.n_points)
+
+    def _read(self, tmp_path, blob):
+        bad = os.path.join(tmp_path, "bad.cldn")
+        open(bad, "wb").write(bytes(blob))
+        return read_archive(bad)
+
+    def test_record_time_differing_from_the_header_fails_closed(self, tmp_path):
+        _, reader, blob, starts = self._archive(tmp_path)
+        rec = reader.records[1]
+        at = starts[1] + 13 + 24 * len(rec.flashes) + 4  # first time of record 1
+        assert struct.unpack_from("<d", blob, at) == (0.25,)
+        struct.pack_into("<d", blob, at, 0.3)
+        with pytest.raises(ArchiveError, match="sample_times"):
+            self._read(tmp_path, blob)
+
+    @pytest.mark.parametrize("indices", [(2, 1, 2, 3), (0, 0, 2, 3), (0, 2, 1, 3)])
+    def test_duplicate_or_unordered_indices_fail_closed(self, tmp_path, indices):
+        _, reader, blob, starts = self._archive(tmp_path)
+        assert [r.index for r in reader.records] == [0, 1, 2, 3]
+        for start, index in zip(starts, indices):
+            struct.pack_into("<Q", blob, start, index)
+        with pytest.raises(ArchiveError, match="indices must strictly increase"):
+            self._read(tmp_path, blob)
+
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path):
+        cfg, reader, _, _ = self._archive(tmp_path)
+        path = os.path.join(tmp_path, "w.cldn")
+        recs = reader.records
+        with pytest.raises(ArchiveError, match="indices"):
+            write_archive(path, cfg, recs + [recs[0]], reader.grid, reader.sample_times)
+        with pytest.raises(ArchiveError, match="sample_times"):
+            write_archive(path, cfg, recs, reader.grid, (0.25, 0.4))
+        assert not os.path.exists(path)
+
+
+def _draw_records(data, n_points):
+    """A few records with drawn indices, flashes, weights and complex64 states."""
+    times = tuple(sorted(data.draw(st.sets(st.floats(0.0, 1.0), max_size=3))))
+    indices = sorted(data.draw(st.sets(st.integers(0, 2**40), max_size=4)))
+    grid = Grid(n_points, -4.0, 4.0)
+    finite = st.floats(-1e6, 1e6)
+    records = []
+    for index in indices:
+        rng = np.random.default_rng(index)
+        flashes = tuple(FlashEvent(*data.draw(st.tuples(finite, finite, finite)))
+                        for _ in range(data.draw(st.integers(0, 3))))
+        states = tuple(WaveFunction(grid, rng.standard_normal(n_points)
+                                    + 1j * rng.standard_normal(n_points)) for _ in times)
+        records.append(TrajectoryRecord(
+            seed=5, index=index, times=times, states=states,
+            weights=np.array(data.draw(st.lists(finite, min_size=len(times),
+                                                max_size=len(times)))),
+            flashes=flashes, boundary_flag=data.draw(st.booleans())))
+    return grid, times, records
+
+
+class TestArchiveProperties:
+    CFG = RunConfig.from_text(GRW_CFG)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_write_read_rewrite_is_byte_identical(self, data):
+        grid, times, records = _draw_records(data, 8)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.cldn"), os.path.join(tmp, "b.cldn")
+            write_archive(first, self.CFG, records, grid, times)
+            reader = read_archive(first, expected_config=self.CFG)
+            write_archive(second, self.CFG, reader.records, reader.grid, reader.sample_times)
+            assert open(first, "rb").read() == open(second, "rb").read()
+        assert reader.sample_times == times
+        for got, rec in zip(reader.records, records):
+            assert (got.index, got.times, got.flashes, got.boundary_flag) == (
+                rec.index, rec.times, rec.flashes, rec.boundary_flag)
+            assert np.array_equal(got.weights, rec.weights)
+            for a, b in zip(got.states, rec.states):
+                assert np.array_equal(a.amplitudes, b.amplitudes.astype(np.complex64))
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_truncation_at_any_offset_fails_closed(self, data):
+        grid, times, records = _draw_records(data, 8)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "a.cldn")
+            write_archive(path, self.CFG, records, grid, times)
+            blob = open(path, "rb").read()
+            cut = data.draw(st.integers(0, len(blob) - 1))
+            open(path, "wb").write(blob[:cut])
+            with pytest.raises(ArchiveError):
+                read_archive(path)
 
 
 class TestCsv:
@@ -330,7 +452,7 @@ class TestCliDeterminism:
 
     @pytest.mark.parametrize("key, value", [("mu", "nan"), ("alpha", "inf"),
                                             ("master_dt", "nan"), ("master_dt", "0"),
-                                            ("master_dt", "inf")])
+                                            ("master_dt", "inf"), ("master_dt", "1e-12")])
     def test_master_non_finite_input_fails_closed(self, tmp_path, capsys, key, value):
         cfg_path = os.path.join(tmp_path, "m.cfg")
         body = {"mu": "2.0", "alpha": "1.0", "master_dt": "2e-4", key: value}

@@ -74,8 +74,7 @@ def assert_same_record(a, b):
     assert a.flow_cells == b.flow_cells
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), first=st.integers(0, 40),
        n=st.integers(1, 9), block_rows=st.sampled_from([1, 2, 3, 5]),
        h_name=st.sampled_from(sorted(HAMILTONIANS)),
@@ -273,6 +272,12 @@ def test_grw_state_does_not_depend_on_other_sample_times():
     lambda: GrwParams(4.0, 0.5, 1.0, unitary_substep=0.0),
     lambda: GrwParams(4.0, 0.5, 1.0, unitary_substep=float("nan")),
     lambda: GrwParams(4.0, 0.5, 1.0, unitary_substep=float("inf")),
+    lambda: DiosiParams(1.0, 64, 1.0, (float("nan"),)),
+    lambda: DiosiParams(1.0, 64, 1.0, (0.5, float("inf"))),
+    lambda: HybridParams(1.0, 4.0, 1.0, (float("nan"),)),
+    lambda: HybridParams(1.0, 4.0, 1.0, (float("-inf"), 0.5)),
+    lambda: GrwParams(4.0, 0.5, 0.5, (float("nan"),)),
+    lambda: GrwParams(4.0, 0.5, 0.5, (0.25, float("nan"))),
 ], ids=[
     "diosi-lam-nan", "diosi-lam-inf", "diosi-tmax-nan", "diosi-tmax-inf",
     "hybrid-lam-nan", "hybrid-mu-nan", "hybrid-mu-inf", "hybrid-tmax-inf",
@@ -280,6 +285,8 @@ def test_grw_state_does_not_depend_on_other_sample_times():
     "hybrid-substep-inf",
     "grw-mu-inf", "grw-mu-nan", "grw-alpha-nan", "grw-alpha-inf", "grw-tmax-nan",
     "grw-substep-zero", "grw-substep-nan", "grw-substep-inf",
+    "diosi-time-nan", "diosi-time-inf", "hybrid-time-nan", "hybrid-time-minus-inf",
+    "grw-time-nan", "grw-second-time-nan",
 ])
 def test_non_finite_or_non_positive_parameter_fails_closed(make):
     with pytest.raises(InvalidParameterError):

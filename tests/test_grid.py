@@ -7,6 +7,8 @@ evolution.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsim import (
     CollapseSpec,
@@ -30,7 +32,15 @@ from collapsim import (
     position_mean,
     schrodinger_step,
 )
-from collapsim.grid import position_moments, position_variance
+from collapsim.grid import (
+    _flow_rows,
+    _hit_rows,
+    _norm2_rows,
+    _normalize_rows,
+    _unitary_rows,
+    position_moments,
+    position_variance,
+)
 
 # closed-form Gaussian integrals, mpmath quad to 30 digits
 FLOW_NORM2_ORACLE = 0.961111655728003535763819051508  # lam=1, dxi=0.3, dt=0.1, sigma=1
@@ -291,3 +301,131 @@ class TestNorms:
         assert boundary_mass(phi) < 1e-12
         edge = make_gaussian_packet(Grid(256, -20.0, 20.0), 18.6, 0.2)
         assert boundary_mass(edge) > 0.5
+
+
+def _hamiltonian(grid, kind):
+    """H = 0, free, cos potential with kinetic term, or the cos potential alone."""
+    if kind == "zero":
+        return HamiltonianSpec.zero(grid)
+    if kind == "free":
+        return HamiltonianSpec.free(grid)
+    return HamiltonianSpec(grid, cosine_potential(grid, 0.5), kinetic=kind == "cos")
+
+
+def _random_rows(grid, rows, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, grid.n_points)) + 1j * rng.standard_normal(
+        (rows, grid.n_points))
+
+
+H_KINDS = ["zero", "free", "cos", "potential_only"]
+
+
+class TestRowOperations:
+    """The single-state functions are the row operations on a batch of one."""
+
+    @pytest.mark.parametrize("kind", H_KINDS)
+    def test_evolve_unitary_is_its_row_in_a_batch(self, kind):
+        # rows of other durations (one of them 0) do not change a row's bits
+        grid = Grid(64, -12.0, 12.0)
+        h = _hamiltonian(grid, kind)
+        amps = _random_rows(grid, 4, 1)
+        tau = np.array([0.3, 0.0, 0.05, 1.0 / 32.0])
+        batch = _unitary_rows(amps.copy(), h, tau, 1.0 / 64.0)
+        for r in range(4):
+            one = evolve_unitary(WaveFunction(grid, amps[r]), h, tau[r], max_step=1.0 / 64.0)
+            assert np.array_equal(one.amplitudes, batch[r])
+            step = schrodinger_step(WaveFunction(grid, amps[r]), h, tau[r])
+            assert np.array_equal(step.amplitudes, _unitary_rows(amps[r:r + 1].copy(), h,
+                                                                 tau[r:r + 1], None)[0])
+
+    def test_potential_only_step_is_two_half_phases(self):
+        grid = Grid(64, -12.0, 12.0)
+        h = _hamiltonian(grid, "potential_only")
+        phi = make_gaussian_packet(grid, 0.0, 1.0)
+        half = np.exp(-0.5j * 0.2 * h.potential)
+        want = phi.amplitudes * half * half
+        assert np.array_equal(schrodinger_step(phi, h, 0.2).amplitudes, want)
+        full = phi.amplitudes * np.exp(-1j * 0.2 * h.potential)
+        assert np.max(np.abs(want - full)) <= 1e-15
+
+    def test_flow_hit_and_normalize_are_their_rows(self):
+        grid = Grid(64, -12.0, 12.0)
+        amps = _random_rows(grid, 3, 2)
+        dxi = np.array([0.4, -0.2, 0.0])
+        flowed = _flow_rows(amps, grid, 1.3, 0.05, dxi)
+        centers = np.array([0.7, -3.0, 11.0])
+        hit = _hit_rows(amps, grid, 0.8, centers)
+        n2 = _norm2_rows(amps, grid.dx)
+        unit = _normalize_rows(amps, n2)
+        for r in range(3):
+            psi = WaveFunction(grid, amps[r])
+            assert np.array_equal(collapse_flow(psi, CollapseSpec(1.3), dxi[r], 0.05).amplitudes,
+                                  flowed[r])
+            assert np.array_equal(gaussian_hit(psi, centers[r], 0.8).amplitudes, hit[r])
+            # normalize keeps norm2's vdot; the division is the same
+            assert np.array_equal(normalize(psi).amplitudes,
+                                  _normalize_rows(amps[r:r + 1], np.array([norm2(psi)]))[0])
+            assert np.allclose(unit[r], normalize(psi).amplitudes, rtol=0, atol=1e-15)
+
+    def test_in_place_rows_match_new_arrays(self):
+        grid = Grid(32, -8.0, 8.0)
+        amps = _random_rows(grid, 2, 3)
+        for op, args in [(_flow_rows, (grid, 0.5, 0.1, np.array([0.3, -0.1]))),
+                         (_hit_rows, (grid, 0.5, np.array([0.0, 1.0]))),
+                         (_normalize_rows, (np.array([2.0, 3.0]),))]:
+            want = op(amps, *args)
+            got = amps.copy()
+            assert op(got, *args, out=got) is got
+            assert np.array_equal(got, want)
+
+    def test_a_vanishing_row_cannot_be_normalized(self):
+        grid = Grid(16, -4.0, 4.0)
+        amps = np.ones((3, 16), dtype=complex)
+        amps[2] = 0.0
+        with pytest.raises(DegenerateStateError, match="vanishing"):
+            _normalize_rows(amps, _norm2_rows(amps, grid.dx))
+
+    def test_flow_overflow_guard_checks_every_row(self):
+        grid = Grid(64, -12.0, 12.0)
+        amps = np.ones((2, 64), dtype=complex)
+        # the exponent peaks at x = dxi / (2 sqrt(lam) dt) with value dxi^2 / (4 dt):
+        # 0 at x = 0 for row 0, 1440 at x = 6 for row 1
+        with pytest.raises(StepTooLargeError):
+            _flow_rows(amps, grid, 400.0, 0.1, np.array([0.0, 24.0]))
+        assert np.all(np.isfinite(_flow_rows(amps, grid, 400.0, 0.1, np.array([0.0, 0.0]))))
+
+    def test_evolve_unitary_checks_its_arguments(self):
+        phi = packet(n=64, lo=-12.0, hi=12.0)
+        h = _hamiltonian(phi.grid, "cos")
+        with pytest.raises(InvalidParameterError):
+            evolve_unitary(phi, h, 0.5, max_step=0.0)
+        with pytest.raises(InvalidParameterError):
+            evolve_unitary(phi, h, -0.5)
+        with pytest.raises(GridMismatchError):
+            evolve_unitary(phi, _hamiltonian(Grid(64, -10.0, 10.0), "cos"), 0.5)
+
+
+class TestEnginePathProperties:
+    @settings(max_examples=40)
+    @given(n=st.sampled_from([32, 128]), kind=st.sampled_from(H_KINDS),
+           seed=st.integers(0, 2**32 - 1), duration=st.floats(0.0, 2.0),
+           cap=st.one_of(st.none(), st.floats(1.0 / 256.0, 0.5)))
+    def test_evolve_unitary_is_unitary(self, n, kind, seed, duration, cap):
+        grid = Grid(n, -16.0, 16.0)
+        psi = WaveFunction(grid, _random_rows(grid, 1, seed)[0])
+        out = evolve_unitary(psi, _hamiltonian(grid, kind), duration, max_step=cap)
+        assert abs(norm2(out) - norm2(psi)) <= 1e-12 * norm2(psi)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.01, 2.0),
+           dxi=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           dt=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)))
+    def test_flows_compose_additively(self, seed, lam, dxi, dt):
+        grid = Grid(128, -16.0, 16.0)
+        psi = WaveFunction(grid, _random_rows(grid, 1, seed)[0])
+        c = CollapseSpec(lam)
+        one = collapse_flow(collapse_flow(psi, c, dxi[0], dt[0]), c, dxi[1], dt[1])
+        two = collapse_flow(psi, c, dxi[0] + dxi[1], dt[0] + dt[1])
+        rel = np.max(np.abs(one.amplitudes - two.amplitudes)) / np.max(np.abs(two.amplitudes))
+        assert rel <= 1e-12

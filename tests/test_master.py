@@ -1,6 +1,7 @@
 """Master-equation tests: closed forms, conservation laws, ensemble consistency."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from collapsim import (
 )
 from collapsim.errors import InvalidParameterError, StepTooLargeError
 from collapsim.grid import cosine_potential
+from collapsim import master
 from collapsim.master import (
     HERMITIAN_RTOL,
+    MAX_RK4_STEPS,
     _rhs,
     density_max_gap,
     diosi_decoherence_rates,
@@ -100,7 +103,8 @@ class TestDensityMatrix:
 class TestEnsembleConsistency:
     def test_single_pure_state(self):
         from collapsim.records import WeightedEnsemble
-        ens = WeightedEnsemble(time=0.0, states=(PHI,), weights=np.ones(1))
+        ens = WeightedEnsemble(time=0.0, grid=GRID, amplitudes=PHI.amplitudes[None, :],
+                               weights=np.ones(1))
         rho = ensemble_density(ens)
         assert np.max(np.abs(rho.entries - RHO0.entries)) <= 1e-14
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
@@ -159,7 +163,7 @@ def _random_hermitian(n, seed):
 
 
 class TestOneGemmRhs:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(n=st.sampled_from([8, 32, 128]),
            kind=st.sampled_from(["zero", "free", "cos", "potential_only"]),
            mu=st.floats(0.1, 50.0), alpha=st.floats(0.01, 4.0),
@@ -249,3 +253,27 @@ class TestNonFiniteInputs:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(StepTooLargeError):
             evolve_diosi_master(RHO0, h0, 1e100, 0.5, 0.5)
+
+
+class TestStepCap:
+    H = HamiltonianSpec.free(GRID)
+
+    def test_too_many_steps_raise_before_any_step(self):
+        with mock.patch.object(master, "_rk4", side_effect=AssertionError("stepped")):
+            with pytest.raises(InvalidParameterError, match="cap"):
+                evolve_grw_master(RHO0, self.H, 2.0, 1.0, 0.5, 1e-12)
+            with pytest.raises(InvalidParameterError, match="cap"):
+                evolve_diosi_master(RHO0, self.H, 1.0, 1.0, 1.0 / (MAX_RK4_STEPS + 1))
+            with pytest.raises(InvalidParameterError, match="cap"):
+                evolve_diosi_master(RHO0, self.H, 1.0, 1e300, 1e-300)
+
+    def test_the_cap_itself_is_allowed(self):
+        calls = []
+
+        def fake_rk4(rho, rhs, t, n_steps):
+            calls.append(n_steps)
+            return rho
+
+        with mock.patch.object(master, "_rk4", fake_rk4):
+            evolve_grw_master(RHO0, self.H, 2.0, 1.0, 1.0, 1.0 / MAX_RK4_STEPS)
+        assert calls == [MAX_RK4_STEPS, 2 * MAX_RK4_STEPS]

@@ -41,7 +41,7 @@ TRAJECTORIES = st.lists(
     min_size=1, max_size=12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(SEEDS, TRAJECTORIES, st.integers(0, 3), st.sampled_from([0, 1, 2**33]))
 def test_philox_keys_equal_seed_sequence(seed, trajectories, role, block):
     # rows of one, two and three 32-bit words are mixed in one call

@@ -9,6 +9,7 @@ import pytest
 from collapsim import (
     Grid,
     HamiltonianSpec,
+    WaveFunction,
     check_condition_I_bound,
     check_fdd_convergence,
     check_flash_vs_increment,
@@ -19,9 +20,9 @@ from collapsim import (
 )
 from collapsim import TestFunctional as Functional
 from collapsim import TestReport as Report
-from collapsim import verify
+from collapsim import diosi, verify
 from collapsim.diosi import DiosiParams, HybridParams
-from collapsim.errors import InvalidParameterError
+from collapsim.errors import GridMismatchError, InvalidParameterError
 from collapsim.grid import spectral_derivative
 
 
@@ -77,6 +78,46 @@ class TestFunctionals:
         assert abs(f.value([centered])) < 1e-9
         shifted = make_gaussian_packet(centered.grid, 2.0, 0.5)
         assert f.value([shifted]) == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("kind, cap", [("overlap_modulus", 1.0), ("overlap_modulus", 0.3),
+                                           ("windowed_mean_position", 5.0),
+                                           ("windowed_mean_position", 0.2),
+                                           ("norm_cap", 1.0), ("norm_cap", 0.5)])
+    def test_rows_give_the_bits_of_one_state_at_a_time(self, kind, cap):
+        # (rows, T, n) snapshots of a reweighted ensemble against the per-state
+        # definitions, mean_k f(phi_k), bit for bit
+        phi = packet(n=128, half=16.0)
+        h = HamiltonianSpec(phi.grid, 0.5 * np.cos(phi.grid.x))
+        states = diosi._diosi_arrays(phi, h, DiosiParams(1.0, 64, 0.5, (0.25, 0.375, 0.5)),
+                                     5, range(40)).states
+        f = Functional(kind, cap=cap, reference_state=phi)
+        x, dx = phi.grid.x, phi.grid.dx
+        want = []
+        for row in states:
+            terms = []
+            for a in row:
+                if kind == "overlap_modulus":
+                    terms.append(min(cap, abs(complex(np.vdot(phi.amplitudes, a)) * dx)))
+                elif kind == "windowed_mean_position":
+                    v = float((x * (np.abs(a) ** 2 * dx))[np.abs(x) <= cap].sum())
+                    terms.append(max(-cap, min(cap, v)))
+                else:
+                    terms.append(min(cap, float(np.real(np.vdot(a, a))) * dx))
+            want.append(float(np.mean(terms)))
+        got = f.values(states, phi.grid)
+        assert got.tolist() == want
+        wrapped = [WaveFunction(phi.grid, a) for a in states[7]]
+        assert f.value(wrapped) == want[7]
+        assert f.value([]) == 0.0
+
+    def test_states_on_another_grid_are_rejected(self):
+        phi = packet()
+        other = packet(n=128)
+        f = Functional("overlap_modulus", reference_state=phi)
+        with pytest.raises(GridMismatchError):
+            f.value([other])
+        with pytest.raises(GridMismatchError):
+            Functional("norm_cap").value([phi, WaveFunction(other.grid, other.amplitudes)])
 
     def test_requires_reference(self):
         with pytest.raises(InvalidParameterError):
