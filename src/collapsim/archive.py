@@ -18,28 +18,40 @@ Record block:
     per time         time f64, weight f64, amplitudes n_points x complex64
                      (real f32, imag f32 interleaved) LE
 
-Amplitudes are stored as complex64; scalars as float64.  Reading and
-rewriting an archive is byte-identical, and the header binds the archive
-to the SHA-256 of its producing config: any header mutation fails closed.
-The records must agree with the header: every record's times are the
-header's sample_times, and the indices strictly increase.  The writer
-refuses records that break either rule, and the reader raises
-ArchiveError on them, as on a truncated file or trailing bytes.
+Amplitudes are stored as complex64; scalars as float64.  The writer takes
+a ``records.Trajectories`` with states and the reader returns one, its
+states one (N, T, n) complex64 array and its flashes flat, so reading and
+rewriting an archive is byte-identical.  The header binds the archive to
+the SHA-256 of its producing config: any header mutation fails closed.
+The header's grid and sample_times are the trajectories' own.  The records
+must agree with the header: every record's times are the header's
+sample_times, and the indices strictly increase.  The writer refuses a
+weights-only run and indices that do not increase, and the reader raises
+ArchiveError on records that break either rule, as on a truncated file or
+trailing bytes.
 """
 
 import hashlib
 import json
-import struct
 
 import numpy as np
 
 from .errors import ArchiveError
-from .grid import Grid, NORMALIZED, WaveFunction, position_moments
-from .records import FlashEvent, TrajectoryRecord, reweight_ensemble
+from .grid import Grid, position_moments
+from .records import Trajectories, reweight_ensemble
 from .stats import effective_sample_size
 
 MAGIC = b"CLDN1\x00"
 FORMAT_VERSION = "CLDN1"
+_U32 = np.dtype("<u4")
+_RECORD_HEAD = np.dtype([("index", "<u8"), ("boundary_flag", "u1"), ("n_flashes", "<u4")])
+_FLASH = np.dtype([("time", "<f8"), ("center", "<f8"), ("norm2", "<f8")])
+
+
+def _record_tail(n_times, n_points):
+    """What follows a record's flashes: n_times, then (time, weight, amplitudes) per time."""
+    entry = np.dtype([("time", "<f8"), ("weight", "<f8"), ("amplitudes", "<c8", (n_points,))])
+    return np.dtype([("n_times", "<u4"), ("entries", entry, (n_times,))])
 
 
 def _header_dict(config_sha, seed, grid, sample_times, n_records):
@@ -56,52 +68,40 @@ def _header_dict(config_sha, seed, grid, sample_times, n_records):
     }
 
 
-def _encode_record(rec, n_points):
-    parts = [struct.pack("<QBI", rec.index, 1 if rec.boundary_flag else 0,
-                         len(rec.flashes))]
-    for fl in rec.flashes:
-        parts.append(struct.pack("<ddd", fl.time, fl.center,
-                                 fl.pre_collapse_norm2))
-    parts.append(struct.pack("<I", len(rec.times)))
-    for j, t in enumerate(rec.times):
-        parts.append(struct.pack("<dd", float(t), float(rec.weights[j])))
-        amps = np.asarray(rec.states[j].amplitudes, dtype=np.complex64)
-        if amps.shape != (n_points,):
-            raise ArchiveError("record state does not match the archive grid")
-        parts.append(amps.astype("<c8").tobytes())
-    return b"".join(parts)
+def _check_indices(indices):
+    """ArchiveError unless the record indices strictly increase."""
+    bad = np.flatnonzero(np.diff(indices) <= 0)
+    if bad.size:
+        raise ArchiveError(f"record index {indices[bad[0] + 1]} follows {indices[bad[0]]}; "
+                           f"indices must strictly increase")
 
 
-def _check_records(records, sample_times):
-    """ArchiveError unless every record has the sample times and the indices increase."""
-    for i, rec in enumerate(records):
-        if tuple(map(float, rec.times)) != sample_times:
-            raise ArchiveError(f"record {rec.index} has times {rec.times}, not the "
-                               f"archive's sample_times {sample_times}")
-        if i and rec.index <= records[i - 1].index:
-            raise ArchiveError(f"record index {rec.index} follows {records[i - 1].index}; "
-                               f"indices must strictly increase")
-
-
-def write_archive(path, config, records, grid, sample_times):
-    """Write records (ordered by trajectory index) bound to ``config``."""
-    recs = sorted(records, key=lambda r: r.index)
-    _check_records(recs, tuple(map(float, sample_times)))
-    header = _header_dict(config.sha256(), config.seed, grid, sample_times,
-                          len(recs))
+def write_archive(path, config, records):
+    """Write a Trajectories (with states, ordered by index) bound to ``config``."""
+    if records.states is None:
+        raise ArchiveError("an archive stores states; this run kept the weights only")
+    _check_indices(records.indices)
+    heads = np.rec.fromarrays([records.indices, records.boundary_flags, records.n_flashes],
+                              dtype=_RECORD_HEAD)
+    flashes = np.rec.fromarrays([records.flash_times, records.flash_centers, records.flash_norms],
+                                dtype=_FLASH)
+    tails = np.empty(len(records), _record_tail(len(records.times), records.grid.n_points))
+    tails["n_times"], entries = len(records.times), tails["entries"]
+    entries["time"], entries["weight"], entries["amplitudes"] = (
+        records.times, records.weights, records.states)
+    header = _header_dict(config.sha256(), config.seed, records.grid, records.times, len(records))
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(hashlib.sha256(header_bytes).digest())
-        for rec in recs:
-            fh.write(_encode_record(rec, grid.n_points))
+        fh.write(MAGIC + np.array(len(header_bytes), _U32).tobytes() + header_bytes
+                 + hashlib.sha256(header_bytes).digest())
+        for i, end in enumerate(np.cumsum(records.n_flashes)):
+            fh.write(heads[i].tobytes() + flashes[end - records.n_flashes[i]:end].tobytes()
+                     + tails[i].tobytes())
 
 
 class ArchiveReader:
-    """Parsed archive: header dict plus TrajectoryRecords (complex64 states)."""
+    """Parsed archive: header dict plus the Trajectories (complex64 states)."""
 
     def __init__(self, header, records, grid):
         self.header = header
@@ -113,17 +113,13 @@ class ArchiveReader:
         return tuple(self.header["sample_times"])
 
 
-def _require(blob, end):
+def _take(blob, off, dtype, count=1):
+    """count items of dtype at off, with a bounds check; returns (array, offset after)."""
+    end = off + dtype.itemsize * count
     if end > len(blob):
         raise ArchiveError(f"archive is truncated: {len(blob)} bytes, record data "
                            f"needs {end}")
-
-
-def _unpack(fmt, blob, off):
-    """struct.unpack_from with a bounds check; returns (values, offset after)."""
-    end = off + struct.calcsize(fmt)
-    _require(blob, end)
-    return struct.unpack_from(fmt, blob, off), end
+    return np.frombuffer(blob, dtype, count, off), end
 
 
 def read_archive(path, expected_config=None):
@@ -132,11 +128,9 @@ def read_archive(path, expected_config=None):
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise ArchiveError("bad magic; not a CLDN1 archive")
-    (hlen,), off = _unpack("<I", blob, len(MAGIC))
-    header_bytes = blob[off:off + hlen]
-    off += hlen
-    digest = blob[off:off + 32]
-    off += 32
+    hlen, off = _take(blob, len(MAGIC), _U32)
+    end = off + int(hlen[0])
+    header_bytes, digest, off = blob[off:end], blob[end:end + 32], end + 32
     if hashlib.sha256(header_bytes).digest() != digest:
         raise ArchiveError("header checksum mismatch; archive rejected")
     try:
@@ -149,30 +143,31 @@ def read_archive(path, expected_config=None):
         raise ArchiveError("archive was produced by a different config")
     g = header["grid"]
     grid = Grid(g["n_points"], g["x_min"], g["x_max"])
-    records = []
-    for _ in range(header["n_records"]):
-        (index, bflag, n_flash), off = _unpack("<QBI", blob, off)
-        flashes = []
-        for _ in range(n_flash):
-            fl, off = _unpack("<ddd", blob, off)
-            flashes.append(FlashEvent(*fl))
-        (n_times,), off = _unpack("<I", blob, off)
-        times, weights, states = [], [], []
-        for _ in range(n_times):
-            (t, w), off = _unpack("<dd", blob, off)
-            _require(blob, off + 8 * grid.n_points)
-            amps = np.frombuffer(blob, dtype="<c8", count=grid.n_points, offset=off)
-            off += 8 * grid.n_points
-            times.append(t)
-            weights.append(w)
-            states.append(WaveFunction(grid, amps.copy(), NORMALIZED))
-        records.append(TrajectoryRecord(
-            seed=int(header["seed"]), index=int(index), times=tuple(times),
-            states=tuple(states), weights=np.array(weights),
-            flashes=tuple(flashes), boundary_flag=bool(bflag)))
+    times, n = tuple(header["sample_times"]), header["n_records"]
+    tail = _record_tail(len(times), grid.n_points)
+    _take(blob, off, tail, n)  # a record count the file cannot hold fails before allocating
+    heads, tails, flashes = np.empty(n, _RECORD_HEAD), np.empty(n, tail), [np.empty(0, _FLASH)]
+    for i in range(n):
+        head, off = _take(blob, off, _RECORD_HEAD)
+        fl, off = _take(blob, off, _FLASH, int(head["n_flashes"][0]))
+        rest, off = _take(blob, off, tail)
+        heads[i], tails[i] = head[0], rest[0]
+        flashes.append(fl)
     if off != len(blob):
         raise ArchiveError("trailing bytes after the last record")
-    _check_records(records, tuple(header["sample_times"]))
+    entries = tails["entries"]
+    bad = np.flatnonzero((tails["n_times"] != len(times))
+                         | (entries["time"] != np.array(times)).any(axis=1))
+    if bad.size:
+        raise ArchiveError(f"record {heads['index'][bad[0]]} has times "
+                           f"{entries['time'][bad[0]].tolist()}, not the archive's "
+                           f"sample_times {times}")
+    _check_indices(heads["index"].astype(np.int64))
+    flashes = np.concatenate(flashes)
+    records = Trajectories(header["seed"], grid, times, heads["index"], entries["weight"].copy(),
+                           entries["amplitudes"].copy(), heads["boundary_flag"] != 0,
+                           flashes["time"], flashes["center"], flashes["norm2"],
+                           heads["n_flashes"].astype(np.int64))
     return ArchiveReader(header, records, grid)
 
 
@@ -184,23 +179,23 @@ def _csv_line(values):
     return ",".join(values) + "\r\n"
 
 
-def summary_csv(records, sample_times):
-    """Per-sample-time summary: weighted position stats and weight health.
+def summary_csv(records):
+    """Per-sample-time summary of a Trajectories: weighted position stats and weight health.
 
     Columns: time, mean_position, position_variance, mean_weight,
     mean_weight_se, ess, boundary_flags.  The position moments are
     reweighted by the raw squared norms (all ones for the jump process),
     divided by N; ess is the effective sample size of the weights at that
-    time, and boundary_flags the number of records whose boundary flag is
-    set.
+    time, and boundary_flags the number of trajectories whose boundary
+    flag is set.
     """
     if not records:
         raise ArchiveError("no records to summarize")
     lines = [_csv_line(["time", "mean_position", "position_variance",
                         "mean_weight", "mean_weight_se", "ess", "boundary_flags"])]
     n = len(records)
-    flags = str(sum(bool(r.boundary_flag) for r in records))
-    for t in sample_times:
+    flags = str(np.count_nonzero(records.boundary_flags))
+    for t in records.times:
         ens = reweight_ensemble(records, t)
         w = ens.weights
         m1, var = position_moments(ens.amplitudes, ens.grid)
@@ -217,7 +212,7 @@ def summary_csv(records, sample_times):
 
 
 def density_csv(records, t, max_points=128):
-    """Weighted mean density at time t on a decimated grid.
+    """Weighted mean density of a Trajectories at time t on a decimated grid.
 
     Columns: x, density, se.  The density estimator is
     sum_i w_i |phi_i(x)|^2 / N; its per-point standard error comes from

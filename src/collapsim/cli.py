@@ -93,15 +93,13 @@ def run_simulate(cfg, out_dir, workers=None):
         else:
             raise ConfigError(f"model {cfg.model!r} is not a simulation")
 
-        # the times the states were taken at (Diosi snaps them to its mesh)
-        times = params.sample_times
         arc_path = os.path.join(out_dir, f"{cfg.model}_archive.cldn")
-        archive_mod.write_archive(arc_path, cfg, records, grid, times)
+        archive_mod.write_archive(arc_path, cfg, records)
         created.append(arc_path)
         if records:
             _write_text(os.path.join(out_dir, "summary.csv"),
-                        archive_mod.summary_csv(records, times), created)
-            for j, t in enumerate(times):
+                        archive_mod.summary_csv(records), created)
+            for j, t in enumerate(records.times):
                 _write_text(os.path.join(out_dir, f"density_t{j}.csv"),
                             archive_mod.density_csv(records, t), created)
         return created

@@ -99,6 +99,8 @@ class RunConfig:
             raise ConfigError("potential must be 'none' or 'cos'")
         if not all(0 <= t <= self.t_max for t in self.sample_times):  # NaN fails too
             raise ConfigError("sample_times must lie in [0, t_max]")
+        if self.n_trajectories < 0:
+            raise ConfigError(f"n_trajectories must be >= 0, got {self.n_trajectories}")
         return self
 
     _KEY_ALIASES = {"lambda": "lam"}

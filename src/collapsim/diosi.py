@@ -9,10 +9,17 @@ ceil(tau_r / cap) equal split steps when V and the kinetic term are both
 present (a substep goes only to the rows that still need it), and its own
 number of factors before each sample time.  The collapse factor is a value
 the spec passes in: it acts in place on the evolved rows of factor k and
-gives back their raw squared norms, which the engine keeps for the flash
-records.  At a sample time a snapshot hook records the raw squared norm
+gives back their raw squared norms, which the engine keeps for the
+flashes.  At a sample time a snapshot hook records the raw squared norm
 (the weight) and, on a copy after the residual unitary, the normalized
 state and the boundary mass.
+
+Each spec turns the engine's arrays for one row block into a
+``records.Trajectories`` (weights (N, T), states (N, T, n), boundary flags,
+and the flashes flattened from the padded (N, K) factor arrays), and
+``_in_blocks`` and ``parallel.run_sliced`` join the blocks and worker
+slices with ``Trajectories.concat``.  That type is what every simulation
+entry point returns and what the archive stores.
 
 The row operations themselves are defined once, in ``grid``:
 ``_unitary_rows``, ``_flow_rows``, ``_norm2_rows`` and ``_normalize_rows``
@@ -54,7 +61,6 @@ Three processes are thin specs over the engine:
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +69,6 @@ from .errors import InvalidParameterError
 from .grid import (
     BOUNDARY_MASS_LIMIT,
     NORMALIZED,
-    WaveFunction,
     _boundary_masses,
     _check_flow_budget,
     _flow_rows,
@@ -76,7 +81,7 @@ from .grid import (
     _validate_sample_times,
     _validate_substep,
 )
-from .records import FlashEvent, TrajectoryRecord
+from .records import Trajectories
 
 __all__ = [
     "DiosiParams",
@@ -156,23 +161,6 @@ class HybridParams:
         return 2.0 * self.lam / self.mu
 
 
-class _Batch(NamedTuple):
-    """Output for N rows, T sample times and K factors.
-
-    The engine fills the first four fields; the specs with jumps add the
-    flash times and centers and the number of flashes of each row (entries
-    past a row's flashes are padding).
-    """
-
-    weights: np.ndarray  # (N, T) raw squared norms at the sample times
-    states: np.ndarray  # (N, T, n) normalized snapshots, or None
-    flags: np.ndarray  # (N, C) boundary mass above the limit at check c (any flags a row)
-    flash_norms: np.ndarray  # (N, K) raw squared norm after factor k, or None
-    flash_times: np.ndarray = None  # (N, K)
-    flash_centers: np.ndarray = None  # (N, K)
-    n_flashes: np.ndarray = None  # (N,)
-
-
 def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
     """The exact collapse flow over mesh cells of length dt, as an engine factor.
 
@@ -200,7 +188,7 @@ def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
 
 def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
                      store_states=True, flash_norms=False):
-    """The Trotter product on one row block of copies of phi0.
+    """The Trotter product on one row block of copies of phi0, which must be normalized.
 
     Row r applies factors k = 0, 1, ...: the unitary of duration tau (a
     float for every factor of every row, else ``tau[r, k]``) and then the
@@ -212,8 +200,12 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
     state is normalized after the unitary of duration ``residual[r, j]`` on
     a copy (none when residual is None), and the boundary flag of check j
     is taken from that state whenever it is formed (always when residual
-    is None).  Returns a _Batch.
+    is None).  Returns the (rows, T) weights, the (rows, T, n) states or
+    None, the (rows, T) boundary flags of the checks and the (rows, K) raw
+    squared norms after factor k (zero past a row's factors) or None.
     """
+    if phi0.label != NORMALIZED:
+        raise InvalidParameterError("phi0 must be normalized")
     grid = phi0.grid
     rows, n_snap = counts.shape
     n, dx = grid.n_points, grid.dx
@@ -222,7 +214,7 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
     flags = np.zeros((rows, n_snap), dtype=bool)
     norms = np.zeros((rows, tau.shape[1])) if flash_norms else None
     if rows == 0:
-        return _Batch(weights, states, flags, norms)
+        return weights, states, flags, norms
 
     shared_tau = isinstance(tau, float)
     phases = _split_phases(h, tau) if shared_tau else None
@@ -249,16 +241,27 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
         flags[:, j] = _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
         if store_states:
             _normalize_rows(snap, _norm2_rows(snap, dx), out=states[:, j])
-    return _Batch(weights, states, flags, norms)
+    return weights, states, flags, norms
+
+
+def _row_blocks(n_rows, n_points):
+    """(lo, hi) of consecutive row blocks of range(n_rows), at least one."""
+    size = max(1, _BLOCK_AMPLITUDES // n_points)
+    return [(lo, min(n_rows, lo + size)) for lo in range(0, max(n_rows, 1), size)]
 
 
 def _in_blocks(n_rows, n_points, block):
-    """block(lo, hi) over consecutive row blocks of range(n_rows), concatenated."""
-    size = max(1, _BLOCK_AMPLITUDES // n_points)
-    parts = [block(lo, min(n_rows, lo + size)) for lo in range(0, max(n_rows, 1), size)]
-    if len(parts) == 1:
-        return parts[0]
-    return _Batch(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+    """The Trajectories block(lo, hi) of each row block, joined in order."""
+    return Trajectories.concat([block(lo, hi) for lo, hi in _row_blocks(n_rows, n_points)])
+
+
+def _flat_flashes(n_flashes, times, centers, norms):
+    """The flash arguments of a Trajectories from padded (rows, K) arrays.
+
+    Row r keeps its first ``n_flashes[r]`` entries, in row order.
+    """
+    keep = np.arange(times.shape[1]) < n_flashes[:, None]
+    return times[keep], centers[keep], norms[keep], n_flashes
 
 
 def _schedule(jump_times, taus, times, limits):
@@ -291,36 +294,6 @@ def _snap_steps(sample_times, resolution):
     return steps
 
 
-def _diosi_arrays(phi0, h, p, seed, indices, store_states=True):
-    """Diosi spec: every factor lasts 1/R and flows over Wiener cell k at resolution R.
-
-    Returns the engine's _Batch: raw-norm weights, normalized states when
-    ``store_states``, boundary flags.  Row i uses exactly the Wiener cells
-    of WienerPath(seed, indices[i], R), so single-trajectory and batched
-    runs coincide bit for bit.
-    """
-    res = p.n_substeps_per_unit_time
-    dt = 1.0 / res
-    _check_flow_budget(phi0.grid, p.lam, dt)
-    steps = np.array(_snap_steps(p.sample_times, res), dtype=np.int64)
-    indices = list(indices)
-    wiener = rngmod.WienerRows(seed, indices, res)
-
-    def block(lo, hi):
-        def increments(k0, k1):
-            out = np.empty((hi - lo, k1 - k0))
-            for r in range(lo, hi):
-                wiener.fill(r, k0, out[r - lo])
-            return out
-
-        flow = _flow_factor(phi0.grid, p.lam, dt, increments, int(steps.max(initial=0)),
-                            hi - lo)
-        return _trotter_product(phi0, h, flow, np.tile(steps, (hi - lo, 1)), dt,
-                                store_states=store_states)
-
-    return _in_blocks(len(indices), phi0.grid.n_points, block)
-
-
 def _waiting_times(seed, indices, dt_cell, horizon):
     """Row i's head of ExponentialSequence(seed, i), long enough for T_k to pass horizon.
 
@@ -344,18 +317,18 @@ def _waiting_times(seed, indices, dt_cell, horizon):
     return waits
 
 
-def _hybrid_arrays(phi0, h, p, seed, indices, store_states=True):
-    """Hybrid spec: per-row jump schedules, then the engine over row blocks.
+def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
+    """Hybrid spec: the Trajectories of indices lo .. hi-1, one engine call.
 
-    Row i takes its waiting times X_k from ExponentialSequence(seed, i) (or
-    X_k = 1) and its flow increments from the coarse cells of
+    Per-row jump schedules, then the engine over row blocks.  Row i takes
+    its waiting times X_k from ExponentialSequence(seed, i) (or X_k = 1)
+    and its flow increments from the coarse cells of
     WienerPath(seed, i, wiener_resolution); factor k runs when its jump time
     T_{k+1} = T_k + X_{k+1}/mu is at most the sample time (plus 1e-12
-    relative slack).  Returns the engine's _Batch with the flashes added:
-    row r has the first n_flashes[r] of them, at the jump times, with
-    centers (mu / (2 sqrt(lam))) dxi.
+    relative slack).  Row r's flashes are its first n_flashes[r] factors,
+    at the jump times, with centers (mu / (2 sqrt(lam))) dxi.
     """
-    indices = list(indices)
+    indices = list(range(lo, hi))
     n_rows = len(indices)
     base = p.wiener_resolution if p.wiener_resolution is not None else p.mu
     wiener = rngmod.WienerRows(seed, indices, base)  # validates the resolution
@@ -378,74 +351,70 @@ def _hybrid_arrays(phi0, h, p, seed, indices, store_states=True):
     for r in np.flatnonzero(n_flashes):  # only the cells a row's flows reach
         dxis[r, :n_flashes[r]] = rngmod.coarse_sums(
             wiener.fill(r, 0, np.empty(n_flashes[r] * ratio)), ratio)
+    centers = (p.mu / (2.0 * math.sqrt(p.lam))) * dxis
     cap = _substep_cap(p.unitary_substep)
 
-    def block(lo, hi):
-        flow = _flow_factor(phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[lo:hi, k0:k1],
-                            n_factors, hi - lo, norms=True)
-        return _trotter_product(phi0, h, flow, counts[lo:hi], taus[lo:hi], residual[lo:hi],
-                                cap, store_states=store_states, flash_norms=True)
+    def block(b0, b1):
+        flow = _flow_factor(phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[b0:b1, k0:k1],
+                            n_factors, b1 - b0, norms=True)
+        weights, states, flags, norms = _trotter_product(
+            phi0, h, flow, counts[b0:b1], taus[b0:b1], residual[b0:b1], cap,
+            store_states=store_states, flash_norms=True)
+        return Trajectories(seed, phi0.grid, p.sample_times, indices[b0:b1], weights, states,
+                            flags.any(axis=1), *_flat_flashes(
+                                n_flashes[b0:b1], jump_times[b0:b1, :n_factors],
+                                centers[b0:b1], norms))
 
-    return _in_blocks(n_rows, phi0.grid.n_points, block)._replace(
-        flash_times=jump_times[:, :n_factors],
-        flash_centers=(p.mu / (2.0 * math.sqrt(p.lam))) * dxis, n_flashes=n_flashes)
-
-
-def _records(seed, indices, times, grid, batch, record_flow_cells=False):
-    """One TrajectoryRecord per row of a _Batch."""
-    out = []
-    for row, idx in enumerate(indices):
-        k = 0 if batch.n_flashes is None else int(batch.n_flashes[row])
-        flashes = tuple(map(FlashEvent, *(
-            a[row, :k].tolist() for a in (batch.flash_times, batch.flash_centers,
-                                          batch.flash_norms)))) if k else ()
-        states = () if batch.states is None else tuple(
-            WaveFunction(grid, s.copy(), NORMALIZED) for s in batch.states[row])
-        out.append(TrajectoryRecord(
-            seed=int(seed), index=int(idx), times=times, states=states,
-            weights=batch.weights[row].copy(), flashes=flashes,
-            boundary_flag=bool(batch.flags[row].any()),
-            flow_cells=tuple(range(k)) if record_flow_cells else ()))
-    return out
+    return _in_blocks(n_rows, phi0.grid.n_points, block)
 
 
 def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
     """One diffusion trajectory; deterministic given (seed, index).
 
-    The record stores, at each sample time, the raw squared norm (the
+    The row stores, at each sample time, the raw squared norm (the
     importance weight under the reference measure) and the normalized
     state.
     """
-    recs = diosi_ensemble(phi0, h, p, seed, 1, store_states=store_states,
-                          first_index=index)
-    return recs[0]
+    return diosi_ensemble(phi0, h, p, seed, 1, store_states, index)[0]
 
 
 def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
                    first_index=0):
-    """Batch-integrated ensemble of diffusion trajectories.
+    """Batch-integrated ensemble of diffusion trajectories, as a Trajectories.
 
-    The boundary flag is computed from the batch amplitudes, so weights-only
-    runs carry it too.
+    Every factor lasts 1/R and flows over Wiener cell k at resolution R.
+    The rows are the indices first_index .. first_index + n - 1, with
+    raw-norm weights, normalized states when ``store_states``, boundary
+    flags and no flashes.  Row i uses exactly the Wiener cells of
+    WienerPath(seed, i, R), so single-trajectory and batched runs coincide
+    bit for bit.  The boundary flag is computed from the batch amplitudes,
+    so weights-only runs carry it too.
     """
-    if phi0.label != NORMALIZED:
-        raise InvalidParameterError("phi0 must be normalized")
-    indices = range(first_index, first_index + n_trajectories)
-    batch = _diosi_arrays(phi0, h, p, seed, indices, store_states=store_states)
-    return _records(seed, indices, p.sample_times, phi0.grid, batch)
+    res = p.n_substeps_per_unit_time
+    dt = 1.0 / res
+    _check_flow_budget(phi0.grid, p.lam, dt)
+    steps = np.array(_snap_steps(p.sample_times, res), dtype=np.int64)
+    indices = list(range(first_index, first_index + n_trajectories))
+    wiener = rngmod.WienerRows(seed, indices, res)
+
+    def block(lo, hi):
+        def increments(k0, k1):
+            out = np.empty((hi - lo, k1 - k0))
+            for r in range(lo, hi):
+                wiener.fill(r, k0, out[r - lo])
+            return out
+
+        flow = _flow_factor(phi0.grid, p.lam, dt, increments, int(steps.max(initial=0)),
+                            hi - lo)
+        weights, states, flags, _ = _trotter_product(
+            phi0, h, flow, np.tile(steps, (hi - lo, 1)), dt, store_states=store_states)
+        return Trajectories(seed, phi0.grid, p.sample_times, indices[lo:hi], weights, states,
+                            flags.any(axis=1))
+
+    return _in_blocks(len(indices), phi0.grid.n_points, block)
 
 
-def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, record_flow_cells=False):
-    """Records of the hybrid trajectories with indices lo .. hi-1, one engine call."""
-    if phi0.label != NORMALIZED:
-        raise InvalidParameterError("phi0 must be normalized")
-    batch = _hybrid_arrays(phi0, h, p, seed, range(lo, hi), store_states=store_states)
-    return _records(seed, range(lo, hi), p.sample_times, phi0.grid, batch,
-                    record_flow_cells)
-
-
-def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True,
-                      record_flow_cells=False):
+def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True):
     """One hybrid trajectory: random-duration unitaries, mesh-cell flows.
 
     Per factor k the state evolves unitarily for X_{k+1}/mu, then the exact
@@ -457,15 +426,14 @@ def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True,
     there.  Waiting times and Wiener increments come from independent
     streams.  Weights-only runs skip the residual unitary and carry no
     boundary flag.  This is a batch of one: row ``index`` of any ensemble
-    is the same record bit for bit.
+    is the same row bit for bit.
     """
-    return _hybrid_records(phi0, h, p, seed, store_states, index, index + 1,
-                           record_flow_cells)[0]
+    return _hybrid_records(phi0, h, p, seed, store_states, index, index + 1)[0]
 
 
 def hybrid_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
                     workers=None):
-    """Independent hybrid trajectories with indices 0 .. n-1.
+    """Independent hybrid trajectories with indices 0 .. n-1, as one Trajectories.
 
     Each worker runs the engine once over a contiguous slice of the
     indices; weights-only runs are cheap and stay in-process.

@@ -213,9 +213,9 @@ def make_gaussian_packet(grid, center, sigma, momentum=0.0):
     ----------
     grid : Grid
     center, sigma : float
-        Center and position spread (sigma > 0).
+        Center (finite) and position spread (positive and finite).
     momentum : float
-        Plane-wave boost exp(i momentum x).
+        Plane-wave boost exp(i momentum x), finite.
 
     The caller is responsible for sizing the window and the spacing, each
     against a 1e-8 budget, else GridTooSmallError is raised:
@@ -225,8 +225,10 @@ def make_gaussian_packet(grid, center, sigma, momentum=0.0):
       Poisson summation is 2 exp(-2 pi^2 sigma^2 / dx^2) in its moments,
       must be at most 1e-8, i.e. sigma must exceed about 0.98 dx.
     """
-    if sigma <= 0:
-        raise InvalidParameterError("sigma must be positive")
+    _require_positive(sigma=sigma)
+    for name, value in (("center", center), ("momentum", momentum)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     # analytic mass outside the window, two half-tails
     z_hi = (grid.x_max - center) / (math.sqrt(2.0) * sigma)
     z_lo = (center - grid.x_min) / (math.sqrt(2.0) * sigma)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .diosi import _in_blocks, _records, _schedule, _trotter_product
+from .diosi import _flat_flashes, _in_blocks, _schedule, _trotter_product
 from .errors import DegenerateStateError, InvalidParameterError
 from .grid import (
     BOUNDARY_MASS_LIMIT,
-    NORMALIZED,
     _boundary_masses,
     _hit_rows,
     _norm2_rows,
@@ -36,6 +35,7 @@ from .grid import (
     _validate_sample_times,
     _validate_substep,
 )
+from .records import Trajectories
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,12 @@ def _hit_factor(grid, alpha, keys, n_factors):
 
 
 def _grw_records(phi0, h, p, seed, lo, hi):
-    """Records of the jump trajectories with indices lo .. hi-1, in row blocks.
+    """The Trajectories of the jump indices lo .. hi-1, in row blocks.
 
     Row i takes its jump times from sample_jump_times on its
     ROLE_JUMP_TIMES stream; every jump up to t_max is a factor, including
     those after the last sample time, whose flashes are recorded too.
     """
-    if phi0.label != NORMALIZED:
-        raise InvalidParameterError("phi0 must be normalized")
     indices = range(lo, hi)
     jumps = [sample_jump_times(p.mu, p.t_max, g) for g in rngmod.row_generators(
         rngmod.philox_keys(seed, indices, rngmod.ROLE_JUMP_TIMES))]
@@ -190,17 +188,15 @@ def _grw_records(phi0, h, p, seed, lo, hi):
     def block(b0, b1):
         hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, flash_keys[:, b0:b1],
                                               n_factors)
-        batch = _trotter_product(phi0, h, hit, counts[b0:b1], taus[b0:b1],
-                                 residual[b0:b1], _substep_cap(p.unitary_substep),
-                                 flash_norms=True)
-        return batch._replace(
-            weights=np.ones((b1 - b0, n_times)), states=batch.states[:, :n_times],
-            flags=np.column_stack([batch.flags[:, :n_times], hit_flags]),
-            flash_centers=centers)
+        _, states, flags, norms = _trotter_product(
+            phi0, h, hit, counts[b0:b1], taus[b0:b1], residual[b0:b1],
+            _substep_cap(p.unitary_substep), flash_norms=True)
+        return Trajectories(seed, phi0.grid, times, indices[b0:b1], np.ones((b1 - b0, n_times)),
+                            states[:, :n_times], flags[:, :n_times].any(axis=1) | hit_flags,
+                            *_flat_flashes(counts[b0:b1, -1], jump_times[b0:b1, :n_factors],
+                                           centers, norms))
 
-    batch = _in_blocks(len(jumps), phi0.grid.n_points, block)._replace(
-        flash_times=jump_times[:, :n_factors], n_flashes=counts[:, -1])
-    return _records(seed, indices, times, phi0.grid, batch)
+    return _in_blocks(len(jumps), phi0.grid.n_points, block)
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):
@@ -211,13 +207,14 @@ def grw_trajectory(phi0, h, p, seed, index=0):
     state, the Gaussian hit is applied raw, and the state is renormalized.
     Snapshots at sample_times are the normalized states (weight 1); a jump
     at a sample time comes before that snapshot.  This is a batch of one:
-    row ``index`` of any ensemble is the same record bit for bit.
+    row ``index`` of any ensemble is the same row bit for bit.
     """
     return _grw_records(phi0, h, p, seed, index, index + 1)[0]
 
 
 def grw_ensemble(phi0, h, p, seed, n_trajectories, workers=None):
-    """Independent trajectories with indices 0 .. n-1; one engine call per worker."""
+    """Independent trajectories with indices 0 .. n-1, as one Trajectories; one
+    engine call per worker."""
     from .parallel import run_sliced
 
     return run_sliced(_grw_records, (phi0, h, p, seed), n_trajectories, workers)

@@ -1,13 +1,16 @@
-"""Trajectory records and weighted ensembles shared by all process models.
+"""Trajectory ensembles and weighted ensembles shared by all process models.
 
-A TrajectoryRecord holds one trajectory's snapshots as WaveFunctions.  A
-WeightedEnsemble holds the ensemble at one time as arrays: the (N, n)
-amplitudes on one grid and the (N,) weights.  ``reweight_ensemble`` stacks
-it from the records; the density matrix, its standard error, the summary
-and the density export all read those arrays.
+Every simulation entry point returns a ``Trajectories``: the engine's
+arrays for N trajectories, from the stacked (N, T, n) snapshots and (N, T)
+weights to the flashes, stored flat with a per-row count.  The archive
+writes and reads that type, and ``reweight_ensemble`` takes one column of
+it as a WeightedEnsemble, the ensemble at one time: the (N, n) amplitudes
+on one grid and the (N,) weights that the density matrix, its standard
+error, the summary and the density export read.  ``Trajectories[i]`` and
+iteration give TrajectoryRecord rows, built on demand as views.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,13 +39,14 @@ class FlashEvent:
 
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """One realization of a collapse process.
+    """One realization of a collapse process: a row of a Trajectories.
 
-    ``times`` are the requested sample times, ``states`` the normalized
-    snapshots at those times, and ``weights`` the raw squared norms there
-    (identically 1 for the jump process, whose states renormalize at every
-    hit).  ``flashes`` lists the collapse events for the jump and hybrid
-    processes.  Everything is a pure function of (params, seed, index).
+    ``times`` are the sample times, ``states`` the normalized snapshots at
+    those times (empty for a weights-only run), and ``weights`` the raw
+    squared norms there (identically 1 for the jump process, whose states
+    renormalize at every hit).  ``flashes`` lists the collapse events for
+    the jump and hybrid processes.  The states and weights are views of the
+    ensemble's arrays.
     """
 
     seed: int
@@ -52,7 +56,6 @@ class TrajectoryRecord:
     weights: np.ndarray
     flashes: tuple = ()
     boundary_flag: bool = False
-    flow_cells: tuple = ()
 
     def state_at(self, t) -> WaveFunction:
         i = _time_index(self.times, t)
@@ -65,13 +68,81 @@ class TrajectoryRecord:
 
 
 @dataclass(eq=False)
+class Trajectories:
+    """N trajectories of one process at T sample times, as arrays.
+
+    ``indices`` (N,) are the trajectory indices, ``weights`` (N, T) the raw
+    squared norms at ``times``, ``states`` (N, T, n) the normalized
+    snapshots on ``grid`` (None for a weights-only run; complex128 from the
+    engine, complex64 from an archive), and ``boundary_flags`` (N,) whether
+    a row's boundary mass ever passed the limit.  The flashes are flat:
+    row i owns the next ``n_flashes[i]`` entries of ``flash_times``,
+    ``flash_centers`` and ``flash_norms`` (the raw squared norm after the
+    factor); a run without flashes passes none of the four and gets empty
+    ones.  ``traj[i]`` (negative i counts from the end) and iteration give
+    TrajectoryRecord rows.  Every row is a pure function of (process, seed,
+    index).
+    """
+
+    seed: int
+    grid: Grid
+    times: tuple
+    indices: np.ndarray
+    weights: np.ndarray
+    states: np.ndarray
+    boundary_flags: np.ndarray
+    flash_times: np.ndarray = None
+    flash_centers: np.ndarray = None
+    flash_norms: np.ndarray = None
+    n_flashes: np.ndarray = None
+
+    def __post_init__(self):
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        n = len(self.indices)
+        if self.n_flashes is None:
+            self.flash_times = self.flash_centers = self.flash_norms = np.zeros(0)
+            self.n_flashes = np.zeros(n, dtype=np.int64)
+        self._ends = np.cumsum(self.n_flashes)
+        shape = (n, len(self.times))
+        if (self.weights.shape != shape or len(self.flash_times) != self.n_flashes.sum()
+                or self.states is not None and self.states.shape != shape + (self.grid.n_points,)):
+            raise InvalidParameterError(
+                "trajectory arrays disagree with the indices, times or grid")
+
+    @classmethod
+    def concat(cls, parts):
+        """The rows of ``parts`` in order; they must share grid and times."""
+        first = parts[0]
+        if any(part.grid != first.grid for part in parts):
+            raise GridMismatchError("trajectories live on different grids")
+        if any(part.times != first.times for part in parts):
+            raise ScheduleMismatchError("trajectories have different sample times")
+        columns = ([getattr(part, f.name) for part in parts] for f in fields(cls)[3:])
+        return cls(first.seed, first.grid, first.times,
+                   *(None if col[0] is None else np.concatenate(col) for col in columns))
+
+    def __len__(self):
+        return len(self.indices)
+
+    def __getitem__(self, i) -> TrajectoryRecord:
+        i = range(len(self))[i]
+        lo, hi = self._ends[i] - self.n_flashes[i], self._ends[i]
+        flashes = tuple(map(FlashEvent, *(a[lo:hi].tolist() for a in (
+            self.flash_times, self.flash_centers, self.flash_norms))))
+        states = () if self.states is None else tuple(
+            WaveFunction(self.grid, a, NORMALIZED) for a in self.states[i])
+        return TrajectoryRecord(self.seed, int(self.indices[i]), self.times, states,
+                                self.weights[i], flashes, bool(self.boundary_flags[i]))
+
+
+@dataclass(eq=False)
 class WeightedEnsemble:
     """Stacked states and importance weights of an ensemble at one time.
 
     ``amplitudes`` is the (N, n) array of the N normalized snapshots on
-    ``grid``, in the dtype the records carry (complex128 from the engine,
-    complex64 from an archive), and ``weights`` the (N,) raw squared norms.
-    The weights are used unnormalized: the estimator of E[f] is
+    ``grid``, in the dtype the trajectories carry (complex128 from the
+    engine, complex64 from an archive), and ``weights`` the (N,) raw squared
+    norms.  The weights are used unnormalized: the estimator of E[f] is
     sum(w_i f_i) / N, since the reweighted measure has total mass E[w] = 1
     (a martingale identity), so mean_weight doubles as a correctness
     diagnostic.
@@ -102,18 +173,14 @@ class WeightedEnsemble:
 
 
 def reweight_ensemble(records, t) -> WeightedEnsemble:
-    """Stack the snapshots and weights of trajectory records at time t.
+    """The column of a Trajectories at time t: its snapshots and raw-norm weights.
 
-    This is the one place an ensemble is stacked.  The weight of record i
-    is its raw squared norm at t.  Records missing a snapshot at t raise
-    ScheduleMismatchError, states on different grids GridMismatchError,
-    and an empty list InvalidParameterError.
+    Both are views of the trajectories' arrays.  A time outside the
+    schedule, or a weights-only run, raises ScheduleMismatchError, and an
+    empty ensemble InvalidParameterError (from WeightedEnsemble).
     """
-    if not records:
-        raise InvalidParameterError("empty ensemble")
-    states = [rec.state_at(t) for rec in records]
-    grid = states[0].grid
-    if any(s.grid != grid for s in states):
-        raise GridMismatchError("ensemble states live on different grids")
-    return WeightedEnsemble(float(t), grid, np.array([s.amplitudes for s in states]),
-                            np.array([rec.weight_at(t) for rec in records], dtype=float))
+    j = _time_index(records.times, t)
+    if records.states is None:
+        raise ScheduleMismatchError(f"no state stored at time {t}")
+    return WeightedEnsemble(float(t), records.grid, records.states[:, j],
+                            records.weights[:, j])

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.fft
 
 from . import rng as rngmod
-from .diosi import HybridParams, _diosi_arrays, _hybrid_arrays, _in_blocks, _trotter_product
+from .diosi import HybridParams, _row_blocks, _trotter_product, diosi_ensemble, hybrid_ensemble
 from .errors import GridMismatchError, InvalidParameterError
 from .grid import WaveFunction, norm2, nyquist_mass_fraction
 from .grw import _flash_keys, _hit_factor
@@ -209,17 +209,17 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
 
     def grw_block(lo, hi):  # n_jumps hits per row, H = 0
         hit, centers, _ = _hit_factor(grid, alpha, flash_keys[:, lo:hi], n_jumps)
-        batch = _trotter_product(phi0, h0, hit, np.full((hi - lo, 1), n_jumps), 0.0,
-                                 store_states=False)
-        return batch._replace(flash_centers=centers)
+        _trotter_product(phi0, h0, hit, np.full((hi - lo, 1), n_jumps), 0.0,
+                         store_states=False)
+        return centers
 
-    ys = _in_blocks(n_samples, grid.n_points, grw_block).flash_centers
+    ys = np.concatenate([grw_block(lo, hi) for lo, hi in _row_blocks(n_samples, grid.n_points)])
 
     p_hyb = HybridParams(
         lam=lam, mu=mu, t_max=n_jumps / mu, sample_times=(n_jumps / mu,),
         deterministic_times=True)
-    batch = _hybrid_arrays(phi0, h0, p_hyb, seed, range(n_samples), store_states=False)
-    zs = batch.flash_centers[:, :n_jumps]
+    batch = hybrid_ensemble(phi0, h0, p_hyb, seed, n_samples, store_states=False)
+    zs = batch.flash_centers.reshape(n_samples, -1)[:, :n_jumps]  # X_k = 1: same count each row
     ws = batch.weights[:, -1]
 
     ess = effective_sample_size(ws)
@@ -256,12 +256,6 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
         details=report_details)
 
 
-def _model_weights(phi0, h, params, n_samples, seed):
-    """Raw-norm weights (n_samples, n_times) for a diffusion or hybrid model."""
-    spec = _hybrid_arrays if isinstance(params, HybridParams) else _diosi_arrays
-    return spec(phi0, h, params, seed, range(n_samples), store_states=False).weights
-
-
 def check_norm_martingale(phi0, h, params, n_samples, seed, weight_bias=0.0,
                           n_bins=4):
     """E ||psi_t||^2 = 1 at every sample time, plus zero conditional drift.
@@ -274,7 +268,8 @@ def check_norm_martingale(phi0, h, params, n_samples, seed, weight_bias=0.0,
     Negative control: ``weight_bias`` scales all weights by (1 + bias); a
     bias of a few percent must make the check fail at these sample sizes.
     """
-    w = _model_weights(phi0, h, params, n_samples, seed)
+    spec = hybrid_ensemble if isinstance(params, HybridParams) else diosi_ensemble
+    w = spec(phi0, h, params, seed, n_samples, store_states=False).weights
     w = w * (1.0 + weight_bias)
     times = params.sample_times
     ratios = {}
@@ -348,7 +343,7 @@ def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
     ref_lam = lam if reference_lam is None else reference_lam
     p_ref = DiosiParams(lam=ref_lam, n_substeps_per_unit_time=reference_substeps,
                         t_max=t_list[-1], sample_times=t_list)
-    ref = _diosi_arrays(phi0, h, p_ref, seed, range(n_samples))
+    ref = diosi_ensemble(phi0, h, p_ref, seed, n_samples)
     wf_ref = ref.weights[:, -1] * functional.values(ref.states, phi0.grid)
 
     per_mu = {}
@@ -359,7 +354,7 @@ def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
         p_mu = HybridParams(lam=lam, mu=mu, t_max=t_list[-1], sample_times=t_list,
                             wiener_resolution=reference_substeps,
                             unitary_substep=unitary_substep)
-        batch = _hybrid_arrays(phi0, h, p_mu, seed, range(n_samples))
+        batch = hybrid_ensemble(phi0, h, p_mu, seed, n_samples, workers=1)
         wts = batch.weights[:, -1]
         wf = wts * functional.values(batch.states, phi0.grid)
         abs_dev = np.abs(wf - wf_ref)

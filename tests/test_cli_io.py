@@ -1,5 +1,6 @@
 """Config parsing, archive round trips, CSV exports, CLI determinism."""
 
+import dataclasses
 import os
 import struct
 import tempfile
@@ -18,8 +19,8 @@ from collapsim.archive import (
 from collapsim.cli import main, run_simulate
 from collapsim.config import RunConfig
 from collapsim.errors import ArchiveError, ConfigError, DegenerateStateError
-from collapsim.grid import Grid, WaveFunction
-from collapsim.records import FlashEvent, TrajectoryRecord
+from collapsim.grid import Grid
+from collapsim.records import Trajectories
 
 HYBRID_CFG = """
 # a small hybrid run
@@ -102,6 +103,22 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: ConfigError")
         assert not os.path.exists(out)
 
+    def test_negative_trajectory_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_trajectories"):
+            RunConfig.from_text(GRW_CFG + "n_trajectories = -3\n")
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("n_trajectories", "-3", "ConfigError"),
+        ("packet_sigma", "nan", "InvalidParameterError")])
+    def test_simulate_bad_input_fails_closed(self, tmp_path, capsys, key, value, error):
+        cfg_path = os.path.join(tmp_path, "bad.cfg")
+        open(cfg_path, "w").write(HYBRID_CFG + f"{key} = {value}\n")
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and key.split("_")[-1] in err
+        assert not os.path.exists(out) or os.listdir(out) == []
+
     def test_bool_parsing(self):
         cfg = RunConfig.from_text(HYBRID_CFG + "deterministic_times = yes\n")
         assert cfg.deterministic_times is True
@@ -132,8 +149,7 @@ class TestArchive:
         cfg, arc = self._records(tmp_path)
         reader = read_archive(arc, expected_config=cfg)
         rewritten = os.path.join(tmp_path, "copy.cldn")
-        write_archive(rewritten, cfg, reader.records, reader.grid,
-                      reader.sample_times)
+        write_archive(rewritten, cfg, reader.records)
         with open(arc, "rb") as fh:
             original = fh.read()
         with open(rewritten, "rb") as fh:
@@ -162,7 +178,7 @@ class TestArchive:
         paths = run_simulate(cfg, out)
         arc = [p for p in paths if p.endswith(".cldn")][0]
         reader = read_archive(arc, expected_config=cfg)
-        assert reader.records == []
+        assert len(reader.records) == 0
 
     def test_flashes_survive_round_trip(self, tmp_path):
         cfg, arc = self._records(tmp_path)
@@ -238,31 +254,34 @@ class TestArchiveRecordChecks:
         path = os.path.join(tmp_path, "w.cldn")
         recs = reader.records
         with pytest.raises(ArchiveError, match="indices"):
-            write_archive(path, cfg, recs + [recs[0]], reader.grid, reader.sample_times)
-        with pytest.raises(ArchiveError, match="sample_times"):
-            write_archive(path, cfg, recs, reader.grid, (0.25, 0.4))
+            write_archive(path, cfg, Trajectories.concat([recs, recs]))
+        with pytest.raises(ArchiveError, match="indices"):
+            write_archive(path, cfg, dataclasses.replace(recs, indices=[0, 2, 1, 3]))
+        with pytest.raises(ArchiveError, match="states"):
+            write_archive(path, cfg, dataclasses.replace(recs, states=None))
         assert not os.path.exists(path)
 
 
 def _draw_records(data, n_points):
-    """A few records with drawn indices, flashes, weights and complex64 states."""
+    """Trajectories with drawn indices (maybe none), flashes, weights and states."""
     times = tuple(sorted(data.draw(st.sets(st.floats(0.0, 1.0), max_size=3))))
     indices = sorted(data.draw(st.sets(st.integers(0, 2**40), max_size=4)))
-    grid = Grid(n_points, -4.0, 4.0)
+    n = len(indices)
     finite = st.floats(-1e6, 1e6)
-    records = []
-    for index in indices:
-        rng = np.random.default_rng(index)
-        flashes = tuple(FlashEvent(*data.draw(st.tuples(finite, finite, finite)))
-                        for _ in range(data.draw(st.integers(0, 3))))
-        states = tuple(WaveFunction(grid, rng.standard_normal(n_points)
-                                    + 1j * rng.standard_normal(n_points)) for _ in times)
-        records.append(TrajectoryRecord(
-            seed=5, index=index, times=times, states=states,
-            weights=np.array(data.draw(st.lists(finite, min_size=len(times),
-                                                max_size=len(times)))),
-            flashes=flashes, boundary_flag=data.draw(st.booleans())))
-    return grid, times, records
+    n_flashes = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                         dtype=np.int64)
+    n_values = 3 * int(n_flashes.sum())
+    flashes = np.array(data.draw(st.lists(finite, min_size=n_values, max_size=n_values)))
+    flashes = flashes.reshape(3, -1)
+    weights = data.draw(st.lists(finite, min_size=n * len(times), max_size=n * len(times)))
+    rng = np.random.default_rng(n)
+    shape = (n, len(times), n_points)
+    return Trajectories(
+        5, Grid(n_points, -4.0, 4.0), times, indices,
+        np.array(weights, dtype=float).reshape(n, len(times)),
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        *flashes, n_flashes)
 
 
 class TestArchiveProperties:
@@ -271,14 +290,15 @@ class TestArchiveProperties:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_write_read_rewrite_is_byte_identical(self, data):
-        grid, times, records = _draw_records(data, 8)
+        records = _draw_records(data, 8)
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.cldn"), os.path.join(tmp, "b.cldn")
-            write_archive(first, self.CFG, records, grid, times)
+            write_archive(first, self.CFG, records)
             reader = read_archive(first, expected_config=self.CFG)
-            write_archive(second, self.CFG, reader.records, reader.grid, reader.sample_times)
+            write_archive(second, self.CFG, reader.records)
             assert open(first, "rb").read() == open(second, "rb").read()
-        assert reader.sample_times == times
+        assert reader.sample_times == records.times and reader.grid == records.grid
+        assert len(reader.records) == len(records)
         for got, rec in zip(reader.records, records):
             assert (got.index, got.times, got.flashes, got.boundary_flag) == (
                 rec.index, rec.times, rec.flashes, rec.boundary_flag)
@@ -289,10 +309,10 @@ class TestArchiveProperties:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_truncation_at_any_offset_fails_closed(self, data):
-        grid, times, records = _draw_records(data, 8)
+        records = _draw_records(data, 8)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "a.cldn")
-            write_archive(path, self.CFG, records, grid, times)
+            write_archive(path, self.CFG, records)
             blob = open(path, "rb").read()
             cut = data.draw(st.integers(0, len(blob) - 1))
             open(path, "wb").write(blob[:cut])
@@ -385,13 +405,14 @@ class TestCsv:
         out = os.path.join(tmp_path, "sum")
         run_simulate(cfg, out)
         reader = read_archive(os.path.join(out, "grw_archive.cldn"))
+        recs = reader.records
+        empty = Trajectories(recs.seed, recs.grid, recs.times, [], recs.weights[:0],
+                             recs.states[:0], recs.boundary_flags[:0])
         with pytest.raises(ArchiveError):
-            summary_csv([], reader.sample_times)
-        rec = reader.records[0]
-        zero = WaveFunction(reader.grid, np.zeros_like(rec.states[0].amplitudes))
-        rec.states = (zero,) + rec.states[1:]
+            summary_csv(empty)
+        recs.states[0, 0] = 0.0
         with pytest.raises(DegenerateStateError):
-            summary_csv(reader.records, reader.sample_times)
+            summary_csv(recs)
 
     def test_diosi_outputs_carry_the_snapped_times(self, tmp_path):
         # 0.1 and 0.3 at n_substeps = 64 are taken at steps 6 and 19

@@ -178,14 +178,6 @@ class TestHybridTrajectory:
         se = target * math.sqrt(2.0 / (zs.size - 1))
         assert abs(zs.var(ddof=1) - target) <= 3.0 * se
 
-    def test_flow_cells_span_deterministic_mesh(self):
-        # flows use cells [k/mu, (k+1)/mu] in order, whatever the X_k are
-        phi = packet(n=128, half=16.0)
-        h = HamiltonianSpec.free(phi.grid)
-        p = HybridParams(lam=1.0, mu=8.0, t_max=1.0, sample_times=(0.5, 1.0))
-        rec = hybrid_trajectory(phi, h, p, seed=43, record_flow_cells=True)
-        assert rec.flow_cells == tuple(range(len(rec.flashes)))
-
     def test_manual_reconstruction_free_hamiltonian(self):
         # rebuild the snapshot by composing the same factors by hand
         phi = packet(n=128, half=16.0)

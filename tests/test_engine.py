@@ -71,7 +71,6 @@ def assert_same_record(a, b):
         assert np.array_equal(s.amplitudes, t.amplitudes)
     assert a.flashes == b.flashes
     assert a.boundary_flag == b.boundary_flag
-    assert a.flow_cells == b.flow_cells
 
 
 @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
@@ -103,8 +102,6 @@ def test_batch_row_is_batch_of_one(seed, first, n, block_rows, h_name, packet,
         assert_same_record(dio[i], diosi_trajectory(phi, h, dp, seed, index=first + i,
                                                     store_states=store_states))
         assert_same_record(grw[i], grw_trajectory(phi, h, gp, seed, index=i))
-    cells = hybrid_trajectory(phi, h, hp, seed, index=n - 1, record_flow_cells=True)
-    assert cells.flow_cells == tuple(range(len(hyb[n - 1].flashes)))
 
 
 def test_rows_straddling_the_real_block_size():

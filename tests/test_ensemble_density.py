@@ -1,14 +1,14 @@
 """ensemble_density and ensemble_density_se against the per-state sums they
-compute with one weighted matmul, and reweight_ensemble as the one place an
-ensemble is stacked."""
+compute with one weighted matmul, and reweight_ensemble as the column of a
+Trajectories at one time."""
 
 import numpy as np
 import pytest
 
-from collapsim import Grid, TrajectoryRecord, WaveFunction, ensemble_density, reweight_ensemble
-from collapsim.errors import GridMismatchError, InvalidParameterError
+from collapsim import Grid, ensemble_density, reweight_ensemble
+from collapsim.errors import GridMismatchError, InvalidParameterError, ScheduleMismatchError
 from collapsim.master import ensemble_density_se
-from collapsim.records import WeightedEnsemble
+from collapsim.records import Trajectories, WeightedEnsemble
 
 GRID = Grid(32, -8.0, 8.0)
 
@@ -20,9 +20,11 @@ def _ensemble(dtype, n=50, seed=3):
     return WeightedEnsemble(0.0, GRID, amps.astype(dtype), rng.exponential(size=n))
 
 
-def _records(states, weights, t=0.5):
-    return [TrajectoryRecord(seed=0, index=i, times=(t,), states=(s,), weights=np.array([w]))
-            for i, (s, w) in enumerate(zip(states, weights))]
+def _records(amplitudes, weights, t=0.5, grid=GRID, first=0):
+    """Trajectories of one sample time t with the given (N, n) amplitudes and weights."""
+    n = len(weights)
+    return Trajectories(0, grid, (t,), range(first, first + n), np.asarray(weights)[:, None],
+                        amplitudes[:, None], np.zeros(n, dtype=bool))
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -40,16 +42,27 @@ def test_matches_per_state_sums(dtype):
 
 def test_states_on_another_grid_are_rejected():
     ens = _ensemble(np.complex128, n=3)
-    states = [WaveFunction(GRID, a) for a in ens.amplitudes]
-    states[2] = WaveFunction(Grid(32, -4.0, 4.0), ens.amplitudes[2])
+    head = _records(ens.amplitudes[:2], ens.weights[:2])
+    tail = _records(ens.amplitudes[2:], ens.weights[2:], grid=Grid(32, -4.0, 4.0), first=2)
     with pytest.raises(GridMismatchError):
-        reweight_ensemble(_records(states, ens.weights), 0.5)
+        Trajectories.concat([head, tail])
+    with pytest.raises(InvalidParameterError):  # a state array that does not fit the grid
+        _records(ens.amplitudes[:, :16], ens.weights)
+
+
+def test_rows_off_the_schedule_are_rejected():
+    ens = _ensemble(np.complex128, n=3)
+    head = _records(ens.amplitudes[:2], ens.weights[:2])
+    tail = _records(ens.amplitudes[2:], ens.weights[2:], t=0.25, first=2)
+    with pytest.raises(ScheduleMismatchError):
+        Trajectories.concat([head, tail])
+    with pytest.raises(ScheduleMismatchError):
+        reweight_ensemble(head, 0.25)
 
 
 def test_reweight_stacks_rows_in_record_order():
     ens = _ensemble(np.complex64, n=4)
-    states = [WaveFunction(GRID, a) for a in ens.amplitudes]
-    got = reweight_ensemble(_records(states, ens.weights), 0.5)
+    got = reweight_ensemble(_records(ens.amplitudes, ens.weights), 0.5)
     assert got.grid == GRID and got.time == 0.5
     assert got.amplitudes.dtype == np.complex64
     assert np.array_equal(got.amplitudes, ens.amplitudes)
@@ -57,8 +70,9 @@ def test_reweight_stacks_rows_in_record_order():
 
 
 def test_empty_or_mismatched_ensembles_are_rejected():
+    ens = _ensemble(np.complex128, n=3)
     with pytest.raises(InvalidParameterError):
-        reweight_ensemble([], 0.5)
+        reweight_ensemble(_records(ens.amplitudes[:0], ens.weights[:0]), 0.5)
     with pytest.raises(InvalidParameterError):
         WeightedEnsemble(0.0, GRID, np.zeros((0, GRID.n_points), complex), np.zeros(0))
     with pytest.raises(InvalidParameterError):

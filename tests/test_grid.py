@@ -5,6 +5,8 @@ Gaussian integrals (mpmath, 30 digits) and the analytic free-Gaussian
 evolution.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,15 @@ class TestPacket:
     def test_bad_sigma(self):
         with pytest.raises(InvalidParameterError):
             packet(sigma=0.0)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("sigma", {"sigma": math.nan}), ("sigma", {"sigma": math.inf}),
+        ("center", {"center": math.nan}), ("momentum", {"k": math.nan}),
+        ("momentum", {"k": math.inf}), ("momentum", {"k": -math.inf})])
+    def test_non_finite_parameter_is_named(self, name, kwargs):
+        # each used to end in "cannot normalize a numerically vanishing state"
+        with pytest.raises(InvalidParameterError, match=name):
+            packet(**kwargs)
 
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):

@@ -88,8 +88,8 @@ class TestFunctionals:
         # definitions, mean_k f(phi_k), bit for bit
         phi = packet(n=128, half=16.0)
         h = HamiltonianSpec(phi.grid, 0.5 * np.cos(phi.grid.x))
-        states = diosi._diosi_arrays(phi, h, DiosiParams(1.0, 64, 0.5, (0.25, 0.375, 0.5)),
-                                     5, range(40)).states
+        states = diosi.diosi_ensemble(phi, h, DiosiParams(1.0, 64, 0.5, (0.25, 0.375, 0.5)),
+                                      5, 40).states
         f = Functional(kind, cap=cap, reference_state=phi)
         x, dx = phi.grid.x, phi.grid.dx
         want = []
