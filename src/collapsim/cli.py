@@ -20,6 +20,7 @@ from .errors import CollapsimError
 from .grid import Grid, HamiltonianSpec, cosine_potential, make_gaussian_packet
 from .grw import GrwParams, grw_ensemble
 from .master import DensityMatrix, evolve_diosi_master, evolve_grw_master
+from .parallel import worker_count
 
 DEFAULT_VERIFY_SEED = 20260810
 
@@ -48,7 +49,12 @@ def _write_text(path, text, created):
 
 
 def run_simulate(cfg, out_dir, workers=None):
-    """Run a trajectory or master-equation simulation; returns artifact paths."""
+    """Run a trajectory or master-equation simulation; returns artifact paths.
+
+    The worker count is resolved first, for every model, so a bad
+    ``workers`` or COLLAPSIM_WORKERS fails before the output directory is made.
+    """
+    workers = worker_count(workers)
     os.makedirs(out_dir, exist_ok=True)
     created = []
     try:
@@ -62,12 +68,12 @@ def run_simulate(cfg, out_dir, workers=None):
                 rho = evolve_grw_master(rho0, h, cfg.mu, cfg.alpha, t, cfg.master_dt)
             else:
                 rho = evolve_diosi_master(rho0, h, cfg.lam, t, cfg.master_dt)
+            xs = [_fmt(x) for x in grid.x.tolist()]
             lines = ["x_i,x_j,re,im\r\n"]
-            for i in range(grid.n_points):
-                for j in range(grid.n_points):
-                    lines.append(_csv_line([
-                        _fmt(grid.x[i]), _fmt(grid.x[j]),
-                        _fmt(rho.entries[i, j].real), _fmt(rho.entries[i, j].imag)]))
+            for xi, re_row, im_row in zip(xs, rho.entries.real.tolist(),
+                                          rho.entries.imag.tolist()):
+                lines.extend(_csv_line([xi, xj, _fmt(re), _fmt(im)])
+                             for xj, re, im in zip(xs, re_row, im_row))
             path = os.path.join(out_dir, "master_rho.csv")
             _write_text(path, "".join(lines), created)
             return created

@@ -10,17 +10,22 @@ equations are diagonal linear ODEs with the closed-form solutions used as
 oracles in the tests.  The integrator is fixed-step RK4 with step-halving
 validation (reproducible, no adaptive state).
 
-The right-hand side costs one real matrix product.  H = T + diag(V), where
-the spectral kinetic matrix T is a real symmetric circulant (k^2 is even
-on the FFT grid).  For Hermitian r, r H = (H r)^H, so with a = T r
+The solver integrates one packed real matrix.  A Hermitian rho = R + iJ
+has R real symmetric and J real antisymmetric, so M = R + J holds both:
+R = (M + M^T)/2, J = (M - M^T)/2 and M^T = R - J.  H = T + diag(V) is real
+symmetric (the spectral kinetic matrix T is a real symmetric circulant,
+since k^2 is even on the FFT grid) and so is D.  The real and imaginary
+parts of the equation are dR/dt = [H, J] - D R and dJ/dt = -[H, R] - D J,
+hence
 
-    -i [H, r] - D r = -i (a - a^H) - G r,    G_ij = D_ij + i (V_i - V_j),
+    dM/dt = [H, J - R] - D M = -[H, M^T] - D M = [H, M]^T - D M,
 
-and T r is one real GEMM of T against r viewed as an n x 2n real array.
-Every RK4 stage of a Hermitian rho is Hermitian to the last bit, so the
-initial kernel must be Hermitian: its hermiticity defect may be at most
-HERMITIAN_RTOL times its largest entry, and it is symmetrized before the
-first step.
+where [H, M]^T = M^T H - H M^T is two real n x n GEMMs (the flops of one
+n x 2n real product) and every other pass is on float64 (n, n) arrays.  rho is unpacked
+once per solve, and the unpacking is exactly Hermitian for any real M.  The
+packing needs a Hermitian initial kernel: its hermiticity defect may be at
+most HERMITIAN_RTOL times its largest entry, and it is symmetrized before
+it is packed.
 """
 
 import math
@@ -111,51 +116,76 @@ def diosi_decoherence_rates(grid, lam):
 
 
 def _rhs(h, rates):
-    """The map r -> -i [H, r] - rates r, valid for Hermitian r (module docstring)."""
-    if h.is_zero:
-        return lambda r: -rates * r
-    damp = rates
-    if not h.potential_is_zero:
-        v = h.potential
-        damp = rates + 1j * (v[:, None] - v[None, :])
-    if not h.kinetic:
-        return lambda r: -damp * r
-    t_mat = kinetic_matrix(h.grid)
+    """The map (m, out) -> out = [H, m]^T - rates m on a packed kernel m.
 
-    def rhs(r):
-        a = (t_mat @ r.view(np.float64)).view(np.complex128)
-        out = a - a.conj().T
-        out *= -1j
-        out -= damp * r
+    H is real symmetric, so [H, m]^T = m^T H - H m^T: two real GEMMs, each
+    reading m transposed through the BLAS flags, plus three float64 passes
+    into ``out`` and one scratch buffer.
+    """
+    neg_rates = -rates
+    h_mat = hamiltonian_matrix(h).real.copy()
+    tmp = np.empty_like(neg_rates)
+
+    def rhs(m, out):
+        np.matmul(m.T, h_mat, out=out)
+        np.matmul(h_mat, m.T, out=tmp)
+        out -= tmp
+        np.multiply(neg_rates, m, out=tmp)
+        out += tmp
         return out
 
     return rhs
 
 
-def _rk4(rho, rhs, t, n_steps):
+def _rk4(m, rhs, t, n_steps):
+    """n_steps classical RK4 steps of dm/dt = rhs(m) from m, in reused buffers.
+
+    The update is m + (dt/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order.
+    """
     dt = t / n_steps
-    r = rho
+    m = m.copy()
+    acc, k, stage, tmp = (np.empty_like(m) for _ in range(4))
     for _ in range(n_steps):
-        k1 = rhs(r)
-        k2 = rhs(r + 0.5 * dt * k1)
-        k3 = rhs(r + 0.5 * dt * k2)
-        k4 = rhs(r + dt * k3)
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return r
+        rhs(m, acc)  # k1
+        np.multiply(acc, 0.5 * dt, out=stage)
+        stage += m
+        rhs(stage, k)  # k2
+        np.multiply(k, 0.5 * dt, out=stage)
+        stage += m
+        np.multiply(k, 2.0, out=tmp)
+        acc += tmp
+        rhs(stage, k)  # k3
+        np.multiply(k, dt, out=stage)
+        stage += m
+        np.multiply(k, 2.0, out=tmp)
+        acc += tmp
+        rhs(stage, k)  # k4
+        acc += k
+        acc *= dt / 6.0
+        m += acc
+    return m
+
+
+def _unpack(m):
+    """rho = (m + m^T)/2 + i (m - m^T)/2: exactly Hermitian for any real m."""
+    rho = np.empty(m.shape, dtype=np.complex128)
+    rho.real = 0.5 * (m + m.T)
+    rho.imag = 0.5 * (m - m.T)
+    return rho
 
 
 def _evolve(rho0, h, rates, t, dt, validate):
     """rho_t by fixed-step RK4 of d rho / dt = -i [H, rho] - rates rho.
 
-    The right-hand side is -i (a - a^H) - G rho with a = T rho and
-    G = rates + i (V_i - V_j), one real GEMM per stage; it is exact only
-    for Hermitian rho.  rho0 is therefore required to be Hermitian to
-    HERMITIAN_RTOL relative to its largest entry (InvalidParameterError
-    otherwise, and for non-finite entries) and is symmetrized, so the
-    result is exactly Hermitian.  t must be finite and nonnegative, dt
-    positive and finite, and t / dt at most MAX_RK4_STEPS.  ``validate``
-    reruns at half the step and raises StepTooLargeError unless the two
-    agree to 1e-6.
+    RK4 runs on the packed real kernel M = Re rho + Im rho (module
+    docstring) and rho is unpacked once at the end, so the result is
+    exactly Hermitian.  The packing holds only for Hermitian rho, so rho0
+    must be Hermitian to HERMITIAN_RTOL relative to its largest entry
+    (InvalidParameterError otherwise, and for non-finite entries) and is
+    symmetrized first.  t must be finite and nonnegative, dt positive and
+    finite, and t / dt at most MAX_RK4_STEPS.  ``validate`` reruns at half
+    the step and raises StepTooLargeError unless the two agree to 1e-6 in
+    every entry of rho.
     """
     if not 0 <= t < math.inf:
         raise InvalidParameterError(f"t must be finite and nonnegative, got {t!r}")
@@ -177,9 +207,10 @@ def _evolve(rho0, h, rates, t, dt, validate):
         return DensityMatrix(rho0.grid, entries)
     rhs = _rhs(h, rates)
     n_steps = max(1, math.ceil(t / dt - 1e-12))
-    out = _rk4(entries, rhs, t, n_steps)
+    packed = entries.real + entries.imag
+    out = _unpack(_rk4(packed, rhs, t, n_steps))
     if validate:
-        fine = _rk4(entries, rhs, t, 2 * n_steps)
+        fine = _unpack(_rk4(packed, rhs, t, 2 * n_steps))
         err = float(np.max(np.abs(out - fine)))
         if not err <= 1e-6:
             raise StepTooLargeError(

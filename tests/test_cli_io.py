@@ -19,7 +19,8 @@ from collapsim.archive import (
 from collapsim.cli import main, run_simulate
 from collapsim.config import RunConfig
 from collapsim.errors import ArchiveError, ConfigError, DegenerateStateError
-from collapsim.grid import Grid
+from collapsim.grid import Grid, HamiltonianSpec, cosine_potential, make_gaussian_packet
+from collapsim.master import DensityMatrix, evolve_grw_master
 from collapsim.records import Trajectories
 
 HYBRID_CFG = """
@@ -47,6 +48,35 @@ n_points = 128
 t_max = 0.5
 sample_times = 0.25, 0.5
 n_trajectories = 4
+"""
+
+DIOSI_CFG = """
+model = diosi
+seed = 4
+lambda = 1.0
+x_min = -16
+x_max = 16
+n_points = 128
+t_max = 0.5
+sample_times = 0.25, 0.5
+n_substeps = 64
+n_trajectories = 3
+"""
+
+MASTER_CFG = """
+model = master
+master_model = grw
+seed = 5
+mu = 4
+alpha = 0.5
+x_min = -8
+x_max = 8
+n_points = 16
+potential = cos
+potential_amplitude = 0.5
+t_max = 0.2
+sample_times = 0.2
+master_dt = 0.005
 """
 
 
@@ -506,3 +536,38 @@ master_dt = 2e-4
         assert paths and paths[0].endswith("master_rho.csv")
         header = open(paths[0]).readline().strip()
         assert header == "x_i,x_j,re,im"
+
+    def test_master_csv_matches_per_entry_format(self, tmp_path):
+        cfg = RunConfig.from_text(MASTER_CFG)
+        out = os.path.join(tmp_path, "m")
+        (path,) = run_simulate(cfg, out)
+        grid = Grid(cfg.n_points, cfg.x_min, cfg.x_max)
+        h = HamiltonianSpec(grid, cosine_potential(grid, cfg.potential_amplitude))
+        rho0 = DensityMatrix.from_wavefunction(make_gaussian_packet(grid, 0.0, 1.0))
+        rho = evolve_grw_master(rho0, h, cfg.mu, cfg.alpha,
+                                cfg.sample_times[-1], cfg.master_dt)
+        want = "x_i,x_j,re,im\r\n" + "".join(
+            f"{grid.x[i]:.17g},{grid.x[j]:.17g},"
+            f"{rho.entries[i, j].real:.17g},{rho.entries[i, j].imag:.17g}\r\n"
+            for i in range(grid.n_points) for j in range(grid.n_points))
+        with open(path, newline="") as fh:
+            assert fh.read() == want
+
+    @pytest.mark.parametrize("model", ["diosi", "master", "grw"])
+    @pytest.mark.parametrize("env, flag, error", [
+        ("abc", [], "ConfigError"),
+        (None, ["--workers", "0"], "InvalidParameterError")])
+    def test_bad_worker_count_fails_before_output(self, tmp_path, capsys, monkeypatch,
+                                                  model, env, flag, error):
+        text = {"diosi": DIOSI_CFG, "master": MASTER_CFG, "grw": GRW_CFG}[model]
+        cfg_path = os.path.join(tmp_path, "w.cfg")
+        open(cfg_path, "w").write(text)
+        if env is None:
+            monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("COLLAPSIM_WORKERS", env)
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out] + flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and "workers" in err.lower()
+        assert not os.path.exists(out)
