@@ -16,10 +16,22 @@ state and the boundary mass.
 
 Each spec turns the engine's arrays for one row block into a
 ``records.Trajectories`` (weights (N, T), states (N, T, n), boundary flags,
-and the flashes flattened from the padded (N, K) factor arrays), and
-``_in_blocks`` and ``parallel.run_sliced`` join the blocks and worker
-slices with ``Trajectories.concat``.  That type is what every simulation
-entry point returns and what the archive stores.
+and the flashes flattened from the padded (N, K) factor arrays), and the
+blocks and worker slices are joined with ``Trajectories.concat``.  That
+type is what every simulation entry point returns and what the archive
+stores.
+
+``_in_blocks`` maps a block function over the row blocks on
+``parallel.engine_threads()`` threads, in contiguous groups of blocks;
+numpy and the FFTs release the GIL, so the blocks of one call run on
+both cores of a 2-core machine.  A block does array work only: the random
+draws a block reads are made before the blocks (the hybrid's flow
+increments, the GRW jump times and flash uniforms and normals), except
+that a Diosi block reads its Wiener cells chunk by chunk from a
+``rng.WienerRows`` of its own, since one reused Philox cannot serve two
+threads.  A row's bytes therefore depend neither on the thread count nor
+on which thread ran its block, and an error is raised as the serial loop
+would raise it: that of the lowest failing block.
 
 The row operations themselves are defined once, in ``grid``:
 ``_unitary_rows``, ``_flow_rows``, ``_norm2_rows`` and ``_normalize_rows``
@@ -60,10 +72,12 @@ Three processes are thin specs over the engine:
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from . import rng as rngmod
 from .errors import InvalidParameterError
 from .grid import (
@@ -251,8 +265,41 @@ def _row_blocks(n_rows, n_points):
 
 
 def _in_blocks(n_rows, n_points, block):
-    """The Trajectories block(lo, hi) of each row block, joined in order."""
-    return Trajectories.concat([block(lo, hi) for lo, hi in _row_blocks(n_rows, n_points)])
+    """[block(lo, hi) for each row block (lo, hi) of _row_blocks], on the engine threads.
+
+    The blocks are split into contiguous groups, one per thread of
+    ``parallel.engine_threads()``; the caller's thread runs the first group
+    and the results come back in block order.  ``block`` must do array work
+    only, its random draws made before the call or on a generator of its
+    own.  A group stops at its first error; once every thread has finished,
+    the error of the lowest failing block is raised, the one a serial loop
+    would raise.
+    """
+    spans = _row_blocks(n_rows, n_points)
+    n_groups = min(parallel.engine_threads(), len(spans))
+    bounds = [len(spans) * g // n_groups for g in range(n_groups + 1)]
+    results = [None] * len(spans)
+    errors = [None] * n_groups
+
+    def run(g):
+        try:
+            for b in range(bounds[g], bounds[g + 1]):
+                results[b] = block(*spans[b])
+        except BaseException as exc:  # raised below, after every thread has finished
+            errors[g] = exc
+
+    threads = [threading.Thread(target=run, args=(g,)) for g in range(1, n_groups)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _flat_flashes(n_flashes, times, centers, norms):
@@ -365,7 +412,7 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
                                 n_flashes[b0:b1], jump_times[b0:b1, :n_factors],
                                 centers[b0:b1], norms))
 
-    return _in_blocks(n_rows, phi0.grid.n_points, block)
+    return Trajectories.concat(_in_blocks(n_rows, phi0.grid.n_points, block))
 
 
 def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
@@ -395,13 +442,14 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     _check_flow_budget(phi0.grid, p.lam, dt)
     steps = np.array(_snap_steps(p.sample_times, res), dtype=np.int64)
     indices = list(range(first_index, first_index + n_trajectories))
-    wiener = rngmod.WienerRows(seed, indices, res)
 
     def block(lo, hi):
+        wiener = rngmod.WienerRows(seed, indices[lo:hi], res)  # one Philox per block
+
         def increments(k0, k1):
             out = np.empty((hi - lo, k1 - k0))
-            for r in range(lo, hi):
-                wiener.fill(r, k0, out[r - lo])
+            for r in range(hi - lo):
+                wiener.fill(r, k0, out[r])
             return out
 
         flow = _flow_factor(phi0.grid, p.lam, dt, increments, int(steps.max(initial=0)),
@@ -411,7 +459,7 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
         return Trajectories(seed, phi0.grid, p.sample_times, indices[lo:hi], weights, states,
                             flags.any(axis=1))
 
-    return _in_blocks(len(indices), phi0.grid.n_points, block)
+    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block))
 
 
 def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True):
@@ -438,7 +486,5 @@ def hybrid_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     Each worker runs the engine once over a contiguous slice of the
     indices; weights-only runs are cheap and stay in-process.
     """
-    from .parallel import run_sliced
-
-    return run_sliced(_hybrid_records, (phi0, h, p, seed, store_states),
-                      n_trajectories, workers if store_states else 1)
+    return parallel.run_sliced(_hybrid_records, (phi0, h, p, seed, store_states),
+                               n_trajectories, workers if store_states else 1)

@@ -16,6 +16,15 @@ boundary mass) check their arguments and then call the row operation on
 a batch of one, so the checks that exercise them exercise the engine's
 arithmetic.
 
+The split step ``_apply_split_step`` works in place: the phase products
+write into the rows, and numpy.fft writes its transforms back into them
+(the same bits as scipy.fft on the engine's shapes), so a step allocates
+nothing.  The per-row phasors exp(-i dt V / 2) and exp(-i dt k^2 / 2) of
+``_unitary_rows`` are formed by ``_phasors`` as cos and sin written into
+the real and imaginary parts of one complex array, bit for bit the
+complex exponentials; k^2 is exactly mirror-even on the FFT grid, so the
+kinetic phasor is computed on the half spectrum and mirrored.
+
 Conventions: hbar = 1, mass = 1, H = -1/2 d^2/dx^2 + V(x) with V bounded.
 Boundary conditions are periodic (spectral propagator); quadrature is the
 plain rectangle rule sum |psi_j|^2 dx, which is consistent with the DFT
@@ -112,6 +121,13 @@ class Grid:
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
         k.setflags(write=False)
         return k
+
+    @cached_property
+    def k2(self):
+        """k**2, exactly mirror-even: k2[n - j] == k2[j], since fftfreq's k[n - j] is -k[j]."""
+        k2 = self.k**2
+        k2.setflags(write=False)
+        return k2
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,23 +284,44 @@ def _split_phases(h, dt):
     exp_v_half = None
     if not h.potential_is_zero:
         exp_v_half = np.exp(-0.5j * dt * h.potential)
-    exp_t = np.exp(-0.5j * dt * h.grid.k**2) if h.kinetic else None
+    exp_t = np.exp(-0.5j * dt * h.grid.k2) if h.kinetic else None
     return exp_v_half, exp_t
 
 
 def _apply_split_step(amps, exp_v_half, exp_t):
-    """One symmetric split step on (..., n) amplitudes. Returns a new array."""
-    out = amps
+    """One symmetric split step on C-contiguous (..., n) amplitudes, in place.
+
+    numpy.fft writes its transforms back into ``amps``; on the engine's
+    shapes they are the same bits as scipy.fft's.
+    """
     if exp_v_half is not None:
-        out = out * exp_v_half
+        amps *= exp_v_half
     if exp_t is not None:
-        out = scipy.fft.fft(out, axis=-1, overwrite_x=out is not amps)
-        out *= exp_t
-        out = scipy.fft.ifft(out, axis=-1, overwrite_x=True)
+        np.fft.fft(amps, axis=-1, out=amps)
+        amps *= exp_t
+        np.fft.ifft(amps, axis=-1, out=amps)
     if exp_v_half is not None:
-        out *= exp_v_half
-    if out is amps:
-        out = amps.copy()
+        amps *= exp_v_half
+
+
+def _phasors(scale, values, even=False):
+    """Row r is exp(-0.5j * scale[r] * values): cos and sin into one complex array.
+
+    Bit for bit np.exp(phase[:, None] * values) with phase = -0.5j * scale:
+    that product is 0 + i theta with theta = (-0.5 scale) * values, a zero
+    theta being +0, and the complex exp of 0 + i theta is cos theta + i sin
+    theta.  With ``even`` the values are mirror-even like k^2 on the FFT grid
+    (values[n - j] == values[j] exactly), so only the half spectrum
+    0 .. n/2 is computed and the rest is mirrored.
+    """
+    n = values.size
+    m = n // 2 + 1 if even else n
+    theta = (-0.5 * scale)[:, None] * values[:m] + 0.0  # +0.0 turns -0 into +0
+    out = np.empty((scale.size, n), dtype=np.complex128)
+    np.cos(theta, out=out.real[:, :m])
+    np.sin(theta, out=out.imag[:, :m])
+    if even:
+        out[:, m:] = out[:, n // 2 - 1:0:-1]
     return out
 
 
@@ -297,13 +334,15 @@ def _unitary_rows(amps, h, tau, cap, phases=None):
     ceil(tau_r / cap) equal split steps when V and the kinetic term are
     both present and cap is not None, and one step otherwise (exact when
     either term is absent).  A step is exp(-i dt V/2) exp(-i dt T)
-    exp(-i dt V/2), so a potential-only H takes two half phases.  Rows of
-    ``amps`` may be overwritten; returns the evolved array.
+    exp(-i dt V/2), so a potential-only H takes two half phases.  The
+    per-row phasors come from ``_phasors``.  Rows of ``amps`` may be
+    overwritten; returns the evolved array.
     """
     if h.is_zero:
         return amps
     if phases is not None:
-        return _apply_split_step(amps, *phases)
+        _apply_split_step(amps, *phases)
+        return amps
     live = np.flatnonzero(tau > 0)
     t = tau[live]
     if cap is None or h.potential_is_zero or not h.kinetic:
@@ -313,17 +352,13 @@ def _unitary_rows(amps, h, tau, cap, phases=None):
     # rows needing the most substeps first: those still needing one are a prefix
     order = np.argsort(-steps, kind="stable")
     live, t, steps = live[order], t[order], steps[order]
-    phase = (-0.5j * (t / steps))[:, None]
-    exp_v = None if h.potential_is_zero else np.exp(phase * h.potential)
-    exp_t = np.exp(phase * h.grid.k**2) if h.kinetic else None
+    dt = t / steps
+    exp_v = None if h.potential_is_zero else _phasors(dt, h.potential)
+    exp_t = _phasors(dt, h.grid.k2, even=True) if h.kinetic else None
     sub = amps[live]
     for s in range(int(steps.max(initial=0))):
         m = int(np.count_nonzero(steps > s))
-        if m == live.size:
-            sub = _apply_split_step(sub, exp_v, exp_t)
-        else:
-            sub[:m] = _apply_split_step(
-                sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)))
+        _apply_split_step(sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)))
     amps[live] = sub
     return amps
 

@@ -9,10 +9,13 @@ the convolution density by construction.
 
 Trajectories run on ``diosi._trotter_product``: factor k is the unitary
 from jump T_{k-1} to jump T_k followed by the hit factor, which draws each
-row's center from that row's evolved state on the row's own
-ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams, multiplies by
-(alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2) (``grid._hit_rows``), records
-the raw squared norm and renormalizes (``grid._normalize_rows``).  Snapshots are the normalized states after the residual
+row's center from that row's evolved state with the row's k-th uniform
+and k-th normal, multiplies by (alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2)
+(``grid._hit_rows``), records the raw squared norm and renormalizes
+(``grid._normalize_rows``).  The uniforms and normals, from the row's own
+ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams, are drawn for every
+row before the row blocks run (``_flash_draws``), so the blocks do array
+work only.  Snapshots are the normalized states after the residual
 unitary from the last jump; the weights are identically 1.
 """
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from . import rng as rngmod
 from .diosi import _flat_flashes, _in_blocks, _schedule, _trotter_product
 from .errors import DegenerateStateError, InvalidParameterError
@@ -124,26 +128,27 @@ def sample_flash_center(psi, alpha, rng, noise_rng=None):
     return float(_sample_centers(psi.amplitudes[None, :], psi.grid, alpha, u, g)[0])
 
 
-def _flash_keys(seed, indices):
-    """(2, N, 2) Philox keys of each row's ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams."""
-    return np.stack([rngmod.philox_keys(seed, indices, role)
-                     for role in (rngmod.ROLE_FLASH_POSITION, rngmod.ROLE_FLASH_NOISE)])
+def _flash_draws(seed, indices, n_hits):
+    """(uniforms, normals), each (N, n_hits): the first n_hits values of each row's
+    ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams."""
+    shape = (len(indices), n_hits)
+    return (rngmod.fill_rows(rngmod.philox_keys(seed, indices, rngmod.ROLE_FLASH_POSITION),
+                             "random", np.empty(shape)),
+            rngmod.fill_rows(rngmod.philox_keys(seed, indices, rngmod.ROLE_FLASH_NOISE),
+                             "standard_normal", np.empty(shape)))
 
 
-def _hit_factor(grid, alpha, keys, n_factors):
+def _hit_factor(grid, alpha, uniforms, normals):
     """The Gaussian hit as an engine factor for the rows of one block.
 
-    ``keys`` holds the block's rows of ``_flash_keys``; hit k of row r uses
-    the k-th uniform and the k-th normal of the row's two streams, drawn up
-    front for n_factors hits.  Returns (hit, centers, flags): the factor,
-    the (rows, n_factors) centers it draws, and the per-row flag it ORs
-    with the boundary mass after every hit.
+    ``uniforms`` and ``normals`` hold the block's rows of ``_flash_draws``:
+    hit k of row r uses uniforms[r, k] and normals[r, k].  Returns (hit,
+    centers, flags): the factor, the (rows, n_hits) centers it draws, and
+    the per-row flag it ORs with the boundary mass after every hit.
     """
-    rows = keys.shape[1]
-    uniforms = rngmod.fill_rows(keys[0], "random", np.empty((rows, n_factors)))
-    normals = rngmod.fill_rows(keys[1], "standard_normal", np.empty((rows, n_factors)))
+    rows = uniforms.shape[0]
     r_all = np.arange(rows)
-    centers = np.zeros((rows, n_factors))
+    centers = np.zeros(uniforms.shape)
     flags = np.zeros(rows, dtype=bool)
 
     def hit(amps, act, k):
@@ -169,7 +174,6 @@ def _grw_records(phi0, h, p, seed, lo, hi):
     indices = range(lo, hi)
     jumps = [sample_jump_times(p.mu, p.t_max, g) for g in rngmod.row_generators(
         rngmod.philox_keys(seed, indices, rngmod.ROLE_JUMP_TIMES))]
-    flash_keys = _flash_keys(seed, indices)
     width = max(map(len, jumps), default=0)
     jump_times = np.full((len(jumps), width), np.inf)
     taus = np.zeros((len(jumps), width))
@@ -184,10 +188,11 @@ def _grw_records(phi0, h, p, seed, lo, hi):
     counts, taus, residual = _schedule(jump_times, taus, ext, ext)
     residual[:, -1] = 0.0
     n_factors = taus.shape[1]
+    uniforms, normals = _flash_draws(seed, indices, n_factors)
 
     def block(b0, b1):
-        hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, flash_keys[:, b0:b1],
-                                              n_factors)
+        hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, uniforms[b0:b1],
+                                              normals[b0:b1])
         _, states, flags, norms = _trotter_product(
             phi0, h, hit, counts[b0:b1], taus[b0:b1], residual[b0:b1],
             _substep_cap(p.unitary_substep), flash_norms=True)
@@ -196,7 +201,7 @@ def _grw_records(phi0, h, p, seed, lo, hi):
                             *_flat_flashes(counts[b0:b1, -1], jump_times[b0:b1, :n_factors],
                                            centers, norms))
 
-    return _in_blocks(len(jumps), phi0.grid.n_points, block)
+    return Trajectories.concat(_in_blocks(len(jumps), phi0.grid.n_points, block))
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):
@@ -215,6 +220,4 @@ def grw_trajectory(phi0, h, p, seed, index=0):
 def grw_ensemble(phi0, h, p, seed, n_trajectories, workers=None):
     """Independent trajectories with indices 0 .. n-1, as one Trajectories; one
     engine call per worker."""
-    from .parallel import run_sliced
-
-    return run_sliced(_grw_records, (phi0, h, p, seed), n_trajectories, workers)
+    return parallel.run_sliced(_grw_records, (phi0, h, p, seed), n_trajectories, workers)

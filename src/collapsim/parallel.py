@@ -1,10 +1,26 @@
-"""Deterministic worker pool for batched trajectory simulation.
+"""Deterministic worker pool for batched trajectory simulation, and the engine's threads.
 
 Each trajectory derives all of its randomness from (seed, index), so the
 results are identical for any worker count; only wall time changes.  The
 pool splits the index range into one contiguous slice per worker, each
 worker runs one batch over its slice, and the caller receives one
 Trajectories ordered by index regardless of completion order.
+
+Cores.  Inside one process the Trotter engine runs its row blocks on
+``engine_threads()`` threads (``diosi._in_blocks``): the usable cores
+(``os.sched_getaffinity``) divided among the worker processes of an
+enclosing pool, which each worker learns from the pool's initializer.  So
+a pool of w workers on c cores runs c // w threads per worker (at least
+one), and a call with one worker runs c threads in the caller's process.
+
+Both exist because each wins where the other loses.  Threads start no
+process and pickle nothing, and they pay where a block's time goes to
+numpy and FFT calls that release the GIL: the Diosi and hybrid blocks,
+as in the scaling-limit benchmark.  The GRW split step runs a Python loop
+over shrinking row prefixes, which holds the GIL.  Measured on 2 cores,
+the 1000-row GRW ensemble of the simulate-grw benchmark (Grid(128), cos
+V, mu 4, t 0.5) took 0.17 s on 1 thread and on 2 threads, against 0.12 s
+on 2 processes, so the process pool stays.
 """
 
 import os
@@ -14,6 +30,28 @@ from .errors import ConfigError, InvalidParameterError
 from .records import Trajectories
 
 _ENV_WORKERS = "COLLAPSIM_WORKERS"
+
+# Worker processes sharing this process's cores: 1, or the size of the pool
+# this process is a worker of.
+_processes_sharing_cores = 1
+
+
+def _share_cores(processes):
+    """Pool initializer: this worker shares the usable cores with ``processes`` workers."""
+    global _processes_sharing_cores
+    _processes_sharing_cores = processes
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def engine_threads():
+    """Threads for the engine's row blocks: this process's share of the usable cores."""
+    return max(1, _usable_cores() // _processes_sharing_cores)
 
 
 def worker_count(workers=None):
@@ -43,7 +81,7 @@ def run_sliced(fn, fixed_args, n, workers=None):
     if w <= 1:
         return fn(*fixed_args, 0, n)
     bounds = [(n * j) // w for j in range(w + 1)]
-    with ProcessPoolExecutor(max_workers=w) as pool:
+    with ProcessPoolExecutor(max_workers=w, initializer=_share_cores, initargs=(w,)) as pool:
         futures = [
             pool.submit(fn, *fixed_args, bounds[j], bounds[j + 1])
             for j in range(w)

@@ -288,6 +288,9 @@ class WienerRows:
     on first use.  A read that starts inside a block draws the block's
     prefix again, so readers that go chunk by chunk should end their
     chunks on block boundaries.
+
+    Not thread-safe: the Philox and the key cache are shared by every
+    read, so each thread needs a WienerRows of its own.
     """
 
     def __init__(self, seed, trajectories, cells_per_unit, block_size=WIENER_BLOCK):

@@ -17,10 +17,10 @@ import numpy as np
 import scipy.fft
 
 from . import rng as rngmod
-from .diosi import HybridParams, _row_blocks, _trotter_product, diosi_ensemble, hybrid_ensemble
+from .diosi import HybridParams, _in_blocks, _trotter_product, diosi_ensemble, hybrid_ensemble
 from .errors import GridMismatchError, InvalidParameterError
 from .grid import WaveFunction, norm2, nyquist_mass_fraction
-from .grw import _flash_keys, _hit_factor
+from .grw import _flash_draws, _hit_factor
 from .stats import effective_sample_size, ks_2samp, mean_se
 from . import grid as gridmod
 
@@ -205,15 +205,15 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
             name="flash_vs_increment", statistic=0.0, threshold=1.0,
             n_samples=n_samples, details={**report_details, "status": "vacuous"})
 
-    flash_keys = _flash_keys(seed, range(n_samples))
+    uniforms, normals = _flash_draws(seed, range(n_samples), n_jumps)
 
     def grw_block(lo, hi):  # n_jumps hits per row, H = 0
-        hit, centers, _ = _hit_factor(grid, alpha, flash_keys[:, lo:hi], n_jumps)
+        hit, centers, _ = _hit_factor(grid, alpha, uniforms[lo:hi], normals[lo:hi])
         _trotter_product(phi0, h0, hit, np.full((hi - lo, 1), n_jumps), 0.0,
                          store_states=False)
         return centers
 
-    ys = np.concatenate([grw_block(lo, hi) for lo, hi in _row_blocks(n_samples, grid.n_points)])
+    ys = np.concatenate(_in_blocks(n_samples, grid.n_points, grw_block))
 
     p_hyb = HybridParams(
         lam=lam, mu=mu, t_max=n_jumps / mu, sample_times=(n_jumps / mu,),

@@ -4,6 +4,9 @@ processes, fail-closed parameters, and the boundary flag of weights-only
 runs."""
 
 import math
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -29,8 +32,8 @@ from collapsim import (
     sample_flash_center,
     sample_jump_times,
 )
-from collapsim import diosi
-from collapsim.errors import InvalidParameterError
+from collapsim import diosi, parallel
+from collapsim.errors import DegenerateStateError, InvalidParameterError, StepTooLargeError
 from collapsim.grid import (
     BOUNDARY_MASS_LIMIT,
     CollapseSpec,
@@ -79,10 +82,12 @@ def assert_same_record(a, b):
        h_name=st.sampled_from(sorted(HAMILTONIANS)),
        packet=st.sampled_from(sorted(PACKETS)),
        deterministic=st.booleans(), mu=st.sampled_from([4.0, 16.0]),
-       store_states=st.booleans(), workers=st.sampled_from([1, 2]))
+       store_states=st.booleans(), workers=st.sampled_from([1, 2]),
+       threads=st.sampled_from([1, 2, 3]))
 def test_batch_row_is_batch_of_one(seed, first, n, block_rows, h_name, packet,
-                                   deterministic, mu, store_states, workers):
-    # blocks of 1-5 rows make every window straddle block boundaries
+                                   deterministic, mu, store_states, workers, threads):
+    # blocks of 1-5 rows make every window straddle block boundaries, and
+    # the engine threads take groups of them
     phi, h = PACKETS[packet], HAMILTONIANS[h_name]
     times = (0.0, 0.125, 0.25)
     hp = HybridParams(1.0, mu, 0.25, times, deterministic_times=deterministic,
@@ -90,7 +95,8 @@ def test_batch_row_is_batch_of_one(seed, first, n, block_rows, h_name, packet,
     dp = DiosiParams(1.0, 64, 0.25, times)
     # GRW at lam = 1 (alpha = 2 lam / mu), with jumps after the last sample time
     gp = GrwParams(mu, 2.0 / mu, 0.3, times, unitary_substep=1.0 / 32.0)
-    with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points):
+    with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
+            mock.patch.object(parallel, "engine_threads", lambda: threads):
         hyb = hybrid_ensemble(phi, h, hp, seed, n, store_states=store_states,
                               workers=workers)
         dio = diosi_ensemble(phi, h, dp, seed, n, store_states=store_states,
@@ -119,6 +125,126 @@ def test_rows_straddling_the_real_block_size():
         assert_same_record(hyb[i], hybrid_trajectory(phi, h, hp, 61, index=i))
         assert_same_record(dio[i], diosi_trajectory(phi, h, dp, 61, index=i))
         assert_same_record(grw[i], grw_trajectory(phi, h, gp, 61, index=i))
+
+
+FIELDS = ("indices", "weights", "states", "boundary_flags", "flash_times", "flash_centers",
+          "flash_norms", "n_flashes")
+
+
+def run_on_threads(threads, block_rows, run):
+    with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
+            mock.patch.object(parallel, "engine_threads", lambda: threads):
+        return run()
+
+
+ENSEMBLES = {
+    "grw": lambda n, store, workers: grw_ensemble(
+        PACKETS["edge"], HAMILTONIANS["cos"],
+        GrwParams(8.0, 0.25, 0.3, (0.125, 0.25), unitary_substep=1.0 / 32.0), 71, n,
+        workers=workers),
+    "diosi": lambda n, store, workers: diosi_ensemble(
+        PACKETS["edge"], HAMILTONIANS["cos"], DiosiParams(1.0, 64, 0.25, (0.125, 0.25)), 72, n,
+        store_states=store),
+    "hybrid": lambda n, store, workers: hybrid_ensemble(
+        PACKETS["edge"], HAMILTONIANS["cos"],
+        HybridParams(1.0, 16.0, 0.25, (0.125, 0.25), wiener_resolution=64.0), 73, n,
+        store_states=store, workers=workers),
+}
+
+
+@pytest.mark.parametrize("process,workers", [
+    ("grw", 1), ("grw", 2), ("diosi", 1), ("hybrid", 1), ("hybrid", 2)])
+@pytest.mark.parametrize("n,block_rows", [(1, 2), (2, 1), (5, 2), (7, 2), (9, 2)])
+@pytest.mark.parametrize("store_states", [True, False])
+def test_engine_threads_give_the_same_arrays(process, workers, n, block_rows, store_states):
+    # 1, 2, 3, 4 and 5 blocks: groups of uneven size, and fewer blocks than threads
+    run = lambda: ENSEMBLES[process](n, store_states, workers)
+    one = run_on_threads(1, block_rows, run)
+    for threads in (2, 3):
+        got = run_on_threads(threads, block_rows, run)
+        for name in FIELDS:
+            a, b = getattr(one, name), getattr(got, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_diosi_blocks_draw_on_generators_of_their_own():
+    # 1024 cells per row, fetched 64 at a time, one row per block: blocks on
+    # different threads read their Wiener cells at the same time, and a
+    # generator shared between them would hand a row another row's cells
+    p = DiosiParams(1.0, 4096, 0.25, (0.25,))
+
+    def run(threads):
+        with mock.patch.object(diosi, "_MAX_INCREMENT_ELEMENTS", 64):
+            return run_on_threads(threads, 1, lambda: diosi_ensemble(
+                PACKETS["centre"], HAMILTONIANS["zero"], p, 75, 6, store_states=False)).weights
+
+    one = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for threads in (2, 3) * 6:
+            assert run(threads).tobytes() == one.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_blocks_come_back_in_order_on_every_thread_count():
+    for threads in (1, 2, 3, 8):
+        with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", 2 * GRID.n_points), \
+                mock.patch.object(parallel, "engine_threads", lambda: threads):
+            assert diosi._in_blocks(11, GRID.n_points, lambda lo, hi: (lo, hi)) == [
+                (0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11)]
+
+
+def test_the_lowest_failing_block_raises_after_every_thread_ends():
+    # blocks 2 and 4 of 6 fail; block 4 fails first in time, but block 2's
+    # error is the one a serial loop raises
+    def block(lo, hi):
+        if lo == 2:
+            time.sleep(0.05)
+            raise DegenerateStateError("block 2")
+        if lo == 4:
+            raise StepTooLargeError("block 4")
+        time.sleep(0.01)
+        return lo
+
+    before = threading.active_count()
+    for threads in (1, 2, 3, 6):
+        with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", GRID.n_points), \
+                mock.patch.object(parallel, "engine_threads", lambda: threads):
+            with pytest.raises(DegenerateStateError, match="block 2"):
+                diosi._in_blocks(6, GRID.n_points, block)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_an_engine_error_in_a_later_block_is_the_serial_error(threads):
+    # hybrid rows 3 and 6, in blocks 3 and 6 of 8, overflow their first flow;
+    # 2 and 3 threads put them in different groups
+    p = HybridParams(1.0, 4.0, 0.5, (0.5,), deterministic_times=True)
+    marked = {WienerPath(74, i, 4.0).increment(0, 1): i for i in (3, 6)}
+    flow_rows = diosi._flow_rows
+
+    def overflowing(amps, grid, lam, dt, dxi, out=None, buf=None):
+        for x in dxi:
+            if x in marked:
+                if marked[x] == 3:
+                    time.sleep(0.05)  # row 6 fails first in time
+                raise StepTooLargeError(f"row {marked[x]}")
+        return flow_rows(amps, grid, lam, dt, dxi, out=out, buf=buf)
+
+    errors = {}
+    before = threading.active_count()
+    for t in (1, threads):
+        with mock.patch.object(diosi, "_flow_rows", overflowing):
+            with pytest.raises(StepTooLargeError) as info:
+                run_on_threads(t, 1, lambda: hybrid_ensemble(
+                    PACKETS["centre"], HAMILTONIANS["free"], p, 74, 8, workers=1))
+        errors[t] = (type(info.value), str(info.value))
+        assert threading.active_count() == before
+    assert errors[1] == errors[threads] == (StepTooLargeError, "row 3")
 
 
 @pytest.mark.parametrize("chunk_elements", [5 * 7, 3 * 4096 * 5 + 5 * 9])

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,10 +36,13 @@ from collapsim import (
     schrodinger_step,
 )
 from collapsim.grid import (
+    _apply_split_step,
     _flow_rows,
     _hit_rows,
     _norm2_rows,
     _normalize_rows,
+    _phasors,
+    _split_phases,
     _unitary_rows,
     position_moments,
     position_variance,
@@ -440,3 +444,36 @@ class TestEnginePathProperties:
         two = collapse_flow(psi, c, dxi[0] + dxi[1], dt[0] + dt[1])
         rel = np.max(np.abs(one.amplitudes - two.amplitudes)) / np.max(np.abs(two.amplitudes))
         assert rel <= 1e-12
+
+
+class TestPhasorsAndInPlaceStep:
+    """The cheaper phasors and the in-place split step give the old bits."""
+
+    @settings(max_examples=60)
+    @given(n=st.sampled_from([8, 16, 32, 64, 128, 256, 512, 1024]),
+           width=st.floats(1.0, 100.0),
+           durations=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
+           cap=st.floats(1.0 / 256.0, 0.5))
+    def test_phasors_are_the_complex_exponentials(self, n, width, durations, cap):
+        grid = Grid(n, -width / 2.0, width / 2.0)
+        k2 = grid.k**2
+        assert np.array_equal(k2[1:n // 2], k2[:n // 2:-1])  # mirror-even, exactly
+        assert np.array_equal(grid.k2, k2)
+        tau = np.array(durations)
+        dt = tau / np.maximum(1, np.ceil(tau / cap - 1e-12))  # the split steps of _unitary_rows
+        phase = (-0.5j * dt)[:, None]
+        v = cosine_potential(grid, 0.5)
+        v[::3] = 0.0  # zero entries, where the sign of a zero phase shows
+        assert _phasors(dt, grid.k2, even=True).tobytes() == np.exp(phase * k2).tobytes()
+        assert _phasors(dt, v).tobytes() == np.exp(phase * v).tobytes()
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    @pytest.mark.parametrize("rows", [1, 3, 64, 128])
+    def test_in_place_step_is_the_scipy_step(self, n, rows):
+        grid = Grid(n, -16.0, 16.0)
+        h = _hamiltonian(grid, "cos")
+        exp_v, exp_t = _split_phases(h, 1.0 / 64.0)
+        amps = _random_rows(grid, rows, n + rows)
+        want = scipy.fft.ifft(scipy.fft.fft(amps * exp_v, axis=-1) * exp_t, axis=-1) * exp_v
+        _apply_split_step(amps, exp_v, exp_t)
+        assert amps.tobytes() == want.tobytes()

@@ -19,7 +19,7 @@ from collapsim import (
     make_gaussian_packet,
     reweight_ensemble,
 )
-from collapsim import diosi
+from collapsim import diosi, parallel
 from collapsim.archive import read_archive, write_archive
 from collapsim.config import RunConfig
 from collapsim.diosi import _hybrid_records
@@ -180,3 +180,29 @@ class TestWorkerCount:
     def test_pool_of_two_is_one_call(self):
         assert_same_bytes(hybrid_ensemble(PHI, H, HYBRID, 7, 9, workers=2),
                           SLICES["hybrid"](0, 9))
+
+
+def _engine_threads_slice(lo, hi):
+    """A slice whose weights hold the engine threads of the process that made it."""
+    return Trajectories(0, GRID, (0.0,), list(range(lo, hi)),
+                        np.full((hi - lo, 1), float(parallel.engine_threads())), None,
+                        np.zeros(hi - lo, dtype=bool))
+
+
+class TestEngineThreads:
+    """The engine threads are this process's share of the usable cores."""
+
+    @pytest.mark.parametrize("cores,sharing,threads", [
+        (1, 1, 1), (2, 1, 2), (4, 2, 2), (2, 2, 1), (3, 2, 1), (2, 4, 1)])
+    def test_cores_divided_among_the_processes(self, cores, sharing, threads, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(parallel, "_processes_sharing_cores", sharing)
+        assert parallel.engine_threads() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_workers_share_the_cores(self, workers):
+        cores = parallel._usable_cores()
+        got = parallel.run_sliced(_engine_threads_slice, (), 8, workers)
+        assert np.all(got.weights == max(1, cores // workers))
+        assert parallel.engine_threads() == cores  # the caller keeps its own share
