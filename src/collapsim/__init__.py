@@ -63,7 +63,6 @@ from .master import (
     evolve_grw_master,
 )
 from .records import FlashEvent, TrajectoryRecord, WeightedEnsemble, reweight_ensemble
-from .rng import WienerPath, stream
 from .verify import (
     TestFunctional,
     TestReport,

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .diosi import DiosiParams, HybridParams, diosi_ensemble
 from .grid import (
     CollapseSpec,
@@ -393,10 +393,14 @@ CRITERIA = (
 
 
 def select_criteria(numbers=None):
+    """The criteria numbered in ``numbers`` (all when empty); ConfigError on a bad number."""
     if not numbers:
         return CRITERIA
-    wanted = set(int(n) for n in numbers)
+    try:
+        wanted = set(int(n) for n in numbers)
+    except ValueError:
+        raise ConfigError(f"criteria must be integers, got {list(numbers)}") from None
     unknown = wanted - {num for num, _, _ in CRITERIA}
     if unknown:
-        raise ValueError(f"unknown criteria: {sorted(unknown)}")
+        raise ConfigError(f"unknown criteria: {sorted(unknown)}")
     return tuple(c for c in CRITERIA if c[0] in wanted)

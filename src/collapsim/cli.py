@@ -16,7 +16,7 @@ from . import archive as archive_mod
 from .archive import _csv_line, _fmt
 from .config import ConfigError, RunConfig
 from .diosi import DiosiParams, HybridParams, diosi_ensemble, hybrid_ensemble
-from .errors import CollapsimError
+from .errors import CollapsimError, InvalidParameterError
 from .grid import Grid, HamiltonianSpec, cosine_potential, make_gaussian_packet
 from .grw import GrwParams, grw_ensemble
 from .master import DensityMatrix, evolve_diosi_master, evolve_grw_master
@@ -119,13 +119,18 @@ def run_simulate(cfg, out_dir, workers=None):
 
 
 def run_verify(seed, out_dir, criteria=None):
-    """Run acceptance criteria, write one TestReport JSON each, print lines."""
+    """Run acceptance criteria, write one TestReport JSON each, print lines.
+
+    Bad criteria or a negative seed fail before the output directory is made.
+    """
     from . import acceptance
 
+    selected = acceptance.select_criteria(criteria)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     created = []
     reports = []
-    selected = acceptance.select_criteria(criteria)
     try:
         for num, name, fn in selected:
             report = fn(seed)
@@ -201,7 +206,7 @@ def main(argv=None):
             else:
                 out = args.output
             if args.criteria:
-                criteria = [int(c) for c in args.criteria.split(",")]
+                criteria = args.criteria.split(",")
             seed = DEFAULT_VERIFY_SEED if seed is None else seed
             reports, _ = run_verify(seed, out, criteria)
             return 0 if all(r.passed for r in reports) else 1

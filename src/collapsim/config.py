@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.seed is None:
             raise ConfigError("seed is mandatory")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.model == "hybrid" or (self.mu is not None and self.lam is not None):
             if self.mu is None or self.lam is None:
                 raise ConfigError("hybrid runs need both mu and lambda")

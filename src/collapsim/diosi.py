@@ -342,7 +342,7 @@ def _snap_steps(sample_times, resolution):
 
 
 def _waiting_times(seed, indices, dt_cell, horizon):
-    """Row i's head of ExponentialSequence(seed, i), long enough for T_k to pass horizon.
+    """Row i's Exp(1) waits in the rng layout, long enough for T_k to pass horizon.
 
     A row takes one block of waits, doubled as long as their jump times
     stay at or below the horizon; the rows are padded with inf.
@@ -368,12 +368,12 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
     """Hybrid spec: the Trajectories of indices lo .. hi-1, one engine call.
 
     Per-row jump schedules, then the engine over row blocks.  Row i takes
-    its waiting times X_k from ExponentialSequence(seed, i) (or X_k = 1)
-    and its flow increments from the coarse cells of
-    WienerPath(seed, i, wiener_resolution); factor k runs when its jump time
-    T_{k+1} = T_k + X_{k+1}/mu is at most the sample time (plus 1e-12
-    relative slack).  Row r's flashes are its first n_flashes[r] factors,
-    at the jump times, with centers (mu / (2 sqrt(lam))) dxi.
+    its waiting times X_k from its Exp(1) waits (or X_k = 1) and its flow
+    increments from the coarse sums of its Wiener cells at
+    wiener_resolution, both in the rng layouts; factor k runs when its
+    jump time T_{k+1} = T_k + X_{k+1}/mu is at most the sample time (plus
+    1e-12 relative slack).  Row r's flashes are its first n_flashes[r]
+    factors, at the jump times, with centers (mu / (2 sqrt(lam))) dxi.
     """
     indices = list(range(lo, hi))
     n_rows = len(indices)
@@ -432,10 +432,10 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     Every factor lasts 1/R and flows over Wiener cell k at resolution R.
     The rows are the indices first_index .. first_index + n - 1, with
     raw-norm weights, normalized states when ``store_states``, boundary
-    flags and no flashes.  Row i uses exactly the Wiener cells of
-    WienerPath(seed, i, R), so single-trajectory and batched runs coincide
-    bit for bit.  The boundary flag is computed from the batch amplitudes,
-    so weights-only runs carry it too.
+    flags and no flashes.  Row i flows over exactly its own Wiener cells
+    at resolution R (the rng layout), so single-trajectory and batched
+    runs coincide bit for bit.  The boundary flag is computed from the
+    batch amplitudes, so weights-only runs carry it too.
     """
     res = p.n_substeps_per_unit_time
     dt = 1.0 / res

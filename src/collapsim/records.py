@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError, ScheduleMismatchError
 from .grid import NORMALIZED, Grid, WaveFunction
-from .stats import mean_se
 
 
 def _time_index(times, t):
@@ -165,11 +164,6 @@ class WeightedEnsemble:
 
     def mean_weight(self):
         return float(self.weights.mean())
-
-    def expectation(self, f):
-        """(mean, standard error) of sum w_i f(state_i) / N; f takes a WaveFunction."""
-        vals = [f(WaveFunction(self.grid, a, NORMALIZED)) for a in self.amplitudes]
-        return mean_se(self.weights * np.array(vals, dtype=float))
 
 
 def reweight_ensemble(records, t) -> WeightedEnsemble:

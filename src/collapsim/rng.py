@@ -2,15 +2,13 @@
 
 Every random draw in collapsim comes from a Philox stream keyed by
 (seed, trajectory index, role, block).  The values depend only on the key,
-never on draw order, thread schedule or worker count.  Wiener paths are
-generated on a fixed fine mesh in blocks, so increments over a coarser
-mesh (common random numbers across process resolutions) are sums of the
-same underlying fine cells.
+never on draw order, thread schedule or worker count.  The layouts below
+are the spec; ``tests/reference.py`` is their oracle, built on numpy alone.
 
 Keys.  The stream of (seed, t, role, block) is Philox at counter 0 with
-the 128-bit key ``SeedSequence(seed, spawn_key=(t, role, block))
-.generate_state(2, np.uint64)``, i.e. the stream of
-``Generator(Philox(SeedSequence(...)))``.  ``philox_keys`` derives that
+the 128-bit key that numpy's SeedSequence of entropy seed and spawn key
+(t, role, block) generates (``generate_state(2, np.uint64)``), i.e. the
+stream of a Generator on a Philox seeded by it.  ``philox_keys`` derives that
 key for many trajectories in one pass: it runs SeedSequence's hash in
 32-bit arithmetic, with one uint32 array entry per trajectory.  Each
 integer is split into little-endian 32-bit words (one word for 0), the
@@ -20,8 +18,16 @@ and mixed pairwise (MIX_MULT_L / MIX_MULT_R); the remaining words are
 mixed into every pool word; the state is drawn from the pool by hashmix
 with INIT_B / MULT_B.  Words shared by all rows (the seed, role and block)
 are hashed as Python ints, so rows of different word counts are hashed in
-groups.  ``stream`` builds the SeedSequence itself, numpy's reference for
-the key that ``philox_keys`` reproduces.
+groups.
+
+Wiener paths.  Cell j of trajectory t's path at resolution R, the
+increment over [j, j + 1] / R, is R^(-1/2) times value j % 4096
+(WIENER_BLOCK) of the standard normals of stream (seed, t, ROLE_WIENER,
+j // 4096).  A coarser mesh (M cells per unit, M dividing R) sums runs of
+R / M fine cells, so processes at different resolutions share one path.
+
+Waits.  Exp(1) wait k of trajectory t is value k % 256 (EXPONENTIAL_BLOCK)
+of the standard exponentials of stream (seed, t, ROLE_JUMP_TIMES, k // 256).
 
 Row draws.  An engine draws a row's values by resetting one reused Philox
 to {counter 0, key k} and making one bulk call (``random(out=...)``,
@@ -41,7 +47,7 @@ ROLE_WIENER = 1
 ROLE_FLASH_NOISE = 2
 ROLE_FLASH_POSITION = 3
 
-# Values per keyed block of a Wiener path and of an exponential sequence.
+# Values per keyed block of a Wiener path and of the waits.
 WIENER_BLOCK = 4096
 EXPONENTIAL_BLOCK = 256
 
@@ -105,9 +111,9 @@ def _seed_sequence_key(entropy):
 def philox_keys(seed, trajectories, role, block=0):
     """(N, 2) uint64 Philox keys of the streams (seed, trajectories[r], role, block).
 
-    Row r equals ``SeedSequence(seed, spawn_key=(trajectories[r], role,
-    block)).generate_state(2, np.uint64)``; every component must be a
-    nonnegative integer.
+    Row r is the ``generate_state(2, np.uint64)`` of numpy's SeedSequence
+    of entropy seed and spawn key (trajectories[r], role, block); every
+    component must be a nonnegative integer.
     """
     t = np.asarray(trajectories)
     if t.ndim != 1:
@@ -130,16 +136,6 @@ def philox_keys(seed, trajectories, role, block=0):
         words = [((t[rows] >> 32 * i) & _MASK32).astype(np.uint32) for i in range(w)]
         keys[rows] = np.column_stack(_seed_sequence_key(head + words + tail))
     return keys
-
-
-def stream(seed, trajectory, role, block=0):
-    """Return a counter-based generator for the given stream key.
-
-    Two calls with equal keys yield generators that produce identical
-    sequences; distinct keys give statistically independent streams.
-    """
-    key = np.random.SeedSequence(int(seed), spawn_key=(int(trajectory), int(role), int(block)))
-    return np.random.Generator(np.random.Philox(key))
 
 
 class _Restartable:
@@ -179,12 +175,6 @@ def row_generators(keys):
     return (gen.at(key) for key in keys)
 
 
-def _cell_scale(cells_per_unit):
-    if not (0 < cells_per_unit < np.inf):
-        raise InvalidParameterError("cells_per_unit must be positive and finite")
-    return (1.0 / float(cells_per_unit)) ** 0.5
-
-
 def coarse_ratio(cells_per_unit, mesh_per_unit):
     """Number of fine cells per cell of the coarser mesh (must be integral)."""
     ratio = float(cells_per_unit) / float(mesh_per_unit)
@@ -196,105 +186,23 @@ def coarse_ratio(cells_per_unit, mesh_per_unit):
     return int(rounded)
 
 
-class WienerPath:
-    """Lazily generated Wiener path increments on a fixed uniform mesh.
-
-    The path is defined by its increments over cells [j, j+1] / cells_per_unit,
-    each Normal(0, 1/cells_per_unit).  Cells are materialized in blocks keyed
-    by (seed, trajectory, ROLE_WIENER, block index), so any sub-range can be
-    (re)computed independently of access order, and the path extends lazily
-    past any horizon.  Within a block only the prefix a caller has reached is
-    drawn; the block's generator is kept and extends the prefix on demand.
-    A chunked draw from one Philox stream equals a single draw, so the cells
-    do not depend on how the path was read.
-
-    Parameters
-    ----------
-    seed, trajectory : int
-        Stream key components.
-    cells_per_unit : float
-        Mesh resolution; the increment over one cell has variance
-        1/cells_per_unit.
-    """
-
-    def __init__(self, seed, trajectory, cells_per_unit, block_size=WIENER_BLOCK):
-        self._scale = _cell_scale(cells_per_unit)
-        self.seed = int(seed)
-        self.trajectory = int(trajectory)
-        self.cells_per_unit = float(cells_per_unit)
-        self.block_size = int(block_size)
-        self._blocks = {}  # block index -> [generator, cells, number drawn]
-
-    @property
-    def normals_drawn(self):
-        """Normals drawn so far, over all blocks."""
-        return sum(drawn for _, _, drawn in self._blocks.values())
-
-    def _block(self, b, stop):
-        """Cells of block b with at least the prefix [0, stop) drawn."""
-        got = self._blocks.get(b)
-        if got is None:
-            got = [stream(self.seed, self.trajectory, ROLE_WIENER, block=b),
-                   np.empty(self.block_size), 0]
-            self._blocks[b] = got
-        g, cells, drawn = got
-        if stop > drawn:
-            fresh = cells[drawn:stop]
-            g.standard_normal(out=fresh)
-            fresh *= self._scale
-            got[2] = stop
-        return cells
-
-    def cell_increments(self, start, stop):
-        """Increments of the cells [start, stop) as an array."""
-        start, stop = int(start), int(stop)
-        if start < 0 or stop < start:
-            raise InvalidParameterError("invalid cell range")
-        out = np.empty(stop - start)
-        pos = start
-        at = 0
-        while pos < stop:
-            b, off = divmod(pos, self.block_size)
-            take = min(self.block_size - off, stop - pos)
-            out[at:at + take] = self._block(b, off + take)[off:off + take]
-            pos += take
-            at += take
-        return out
-
-    def increment(self, start, stop):
-        """xi(stop/r) - xi(start/r) where r = cells_per_unit."""
-        return float(self.cell_increments(start, stop).sum())
-
-    def coarse_ratio(self, mesh_per_unit):
-        """Number of fine cells per cell of the coarser mesh (must be integral)."""
-        return coarse_ratio(self.cells_per_unit, mesh_per_unit)
-
-    def coarse_increments(self, mesh_per_unit, start, stop):
-        """Increments over cells [start, stop) of a coarser mesh.
-
-        The coarser mesh must subdivide evenly into the path mesh; the
-        returned increments are exact sums of the underlying fine cells,
-        which is what makes runs at different resolutions share one path.
-        """
-        ratio = self.coarse_ratio(mesh_per_unit)
-        return coarse_sums(self.cell_increments(start * ratio, stop * ratio), ratio)
-
-
 class WienerRows:
-    """The paths WienerPath(seed, t, cells_per_unit) of many trajectories, row by row.
+    """The Wiener paths of many trajectories at resolution cells_per_unit, row by row.
 
-    The cells come from the same keyed blocks as WienerPath's, drawn on one
-    reused Philox; the keys of block b are derived for every row at once,
-    on first use.  A read that starts inside a block draws the block's
-    prefix again, so readers that go chunk by chunk should end their
-    chunks on block boundaries.
+    Row r holds the cells of trajectory trajectories[r] in the layout of
+    the module docstring, drawn on one reused Philox; the keys of block b
+    are derived for every row at once, on first use.  A read that starts
+    inside a block draws the block's prefix again, so readers that go
+    chunk by chunk should end their chunks on block boundaries.
 
     Not thread-safe: the Philox and the key cache are shared by every
     read, so each thread needs a WienerRows of its own.
     """
 
     def __init__(self, seed, trajectories, cells_per_unit, block_size=WIENER_BLOCK):
-        self._scale = _cell_scale(cells_per_unit)
+        if not (0 < cells_per_unit < np.inf):
+            raise InvalidParameterError("cells_per_unit must be positive and finite")
+        self._scale = (1.0 / float(cells_per_unit)) ** 0.5
         self.seed = int(seed)
         self.trajectories = list(trajectories)
         self.block_size = int(block_size)
@@ -321,33 +229,3 @@ class WienerRows:
 def coarse_sums(fine, ratio):
     """Sums of consecutive runs of ``ratio`` fine cells: increments over the coarse cells."""
     return fine if ratio == 1 else fine.reshape(-1, ratio).sum(axis=1)
-
-
-class ExponentialSequence:
-    """Lazy i.i.d. Exp(1) sequence with block-keyed, order-independent access."""
-
-    def __init__(self, seed, trajectory, block_size=EXPONENTIAL_BLOCK):
-        self.seed = int(seed)
-        self.trajectory = int(trajectory)
-        self.block_size = int(block_size)
-        self._blocks = {}
-
-    def _block(self, b):
-        got = self._blocks.get(b)
-        if got is None:
-            g = stream(self.seed, self.trajectory, ROLE_JUMP_TIMES, block=b)
-            got = g.standard_exponential(self.block_size)
-            self._blocks[b] = got
-        return got
-
-    def __getitem__(self, i):
-        i = int(i)
-        if i < 0:
-            raise IndexError("negative index")
-        b, off = divmod(i, self.block_size)
-        return float(self._block(b)[off])
-
-    def head(self, m):
-        """The first m values as an array."""
-        blocks = [self._block(b) for b in range(-(-int(m) // self.block_size))]
-        return np.concatenate(blocks)[:m] if blocks else np.empty(0)

@@ -412,7 +412,8 @@ def _kappa_mc(mu, s, t, n_samples, seed, stream_index, kappa_power):
     E[|k(t)-k(s)|^power * sum X^2 over the jumps in (s, t]] / mu^2 and the
     tail is E[k(t)^2 1{k(t) > 6 mu t}].
     """
-    rng = rngmod.stream(seed, stream_index, rngmod.ROLE_JUMP_TIMES)
+    keys = rngmod.philox_keys(seed, [stream_index], rngmod.ROLE_JUMP_TIMES)
+    rng = next(rngmod.row_generators(keys))
     budget = mu * t
     m_total = int(budget + 12.0 * math.sqrt(budget + 1.0) + 64)
     chunk = max(1, min(n_samples, 20_000_000 // m_total))
@@ -460,9 +461,8 @@ def check_kappa_lemma(mu_list, s, t, n_samples, seed, kappa_power=1):
     for j, mu in enumerate(mu_list):
         if gap == 0.0:
             mean = se = 0.0
-            tail_mean = 0.0
-            rng = rngmod.stream(seed, j, rngmod.ROLE_JUMP_TIMES)
-            kt = rng.poisson(mu * t, size=n_samples)
+            keys = rngmod.philox_keys(seed, [j], rngmod.ROLE_JUMP_TIMES)
+            kt = next(rngmod.row_generators(keys)).poisson(mu * t, size=n_samples)
             tail_mean = float(np.where(kt > 6.0 * mu * t, kt.astype(float) ** 2,
                                        0.0).mean())
         else:
@@ -531,8 +531,9 @@ def check_condition_I_bound(phi, t_list, n_samples, seed, noise_scale=1.0):
             estimates["t=0"] = {"estimate": 0.0, "se": 0.0, "rhs": 0.0}
             est_seq.append(0.0)
             continue
-        rng = rngmod.stream(seed, j, rngmod.ROLE_WIENER)
-        xi = rng.standard_normal(n_samples) * (noise_scale * math.sqrt(t))
+        keys = rngmod.philox_keys(seed, [j], rngmod.ROLE_WIENER)
+        xi = rngmod.fill_rows(keys, "standard_normal", np.empty((1, n_samples)))[0]
+        xi *= noise_scale * math.sqrt(t)
         exponent = np.multiply.outer(xi, x)
         exponent -= t * x**2
         g = (np.exp(exponent) - 1.0) * phi.amplitudes[None, :]

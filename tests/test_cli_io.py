@@ -1,6 +1,7 @@
 """Config parsing, archive round trips, CSV exports, CLI determinism."""
 
 import dataclasses
+import json
 import os
 import struct
 import tempfile
@@ -131,6 +132,17 @@ class TestConfig:
         out = os.path.join(tmp_path, "o")
         assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
         assert capsys.readouterr().err.startswith("error: ConfigError")
+        assert not os.path.exists(out)
+
+    def test_negative_seed_fails_before_output(self, tmp_path, capsys):
+        text = GRW_CFG.replace("seed = 5", "seed = -1")
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig.from_text(text)
+        cfg_path = os.path.join(tmp_path, "neg.cfg")
+        open(cfg_path, "w").write(text)
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: seed")
         assert not os.path.exists(out)
 
     def test_negative_trajectory_count_rejected(self):
@@ -459,6 +471,26 @@ class TestCsv:
         rows = open(os.path.join(out, "summary.csv")).read().strip().splitlines()[1:]
         assert [float(r.split(",")[0]) for r in rows] == want
         assert os.path.exists(os.path.join(out, "density_t1.csv"))
+
+
+class TestCliVerify:
+    @pytest.mark.parametrize("args, error", [
+        (["--criteria", "9"], "ConfigError"),
+        (["--criteria", "x"], "ConfigError"),
+        (["--seed", "-1", "--criteria", "6"], "InvalidParameterError")])
+    def test_bad_input_fails_before_output(self, tmp_path, capsys, args, error):
+        out = os.path.join(tmp_path, "v")
+        assert main(["verify", "--output", out] + args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+        assert not os.path.exists(out)
+
+    def test_criterion_7_passes(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "v")
+        assert main(["verify", "--criteria", "7", "--seed", "1", "--output", out]) == 0
+        assert capsys.readouterr().out.startswith("ACCEPTANCE 7 numerics_baseline: PASS")
+        assert os.listdir(out) == ["criterion_7_numerics_baseline.json"]
+        with open(os.path.join(out, "criterion_7_numerics_baseline.json")) as fh:
+            assert json.load(fh)["pass"] is True
 
 
 class TestCliDeterminism:

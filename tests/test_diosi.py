@@ -21,7 +21,9 @@ from collapsim import (
 )
 from collapsim.errors import InvalidParameterError, ScheduleMismatchError
 from collapsim.grid import CollapseSpec, collapse_flow, cosine_potential, normalize
-from collapsim.rng import ROLE_WIENER, ExponentialSequence, WienerPath, stream
+from collapsim.rng import ROLE_WIENER
+from collapsim.stats import mean_se
+from reference import stream, waits, wiener_cells
 
 
 def packet(n=256, half=20.0):
@@ -35,7 +37,7 @@ class TestDiosiTrajectory:
         p = DiosiParams(lam=1.0, n_substeps_per_unit_time=32, t_max=1.0,
                         sample_times=(1.0,))
         rec = diosi_trajectory(phi, h0, p, seed=31)
-        xi = WienerPath(31, 0, 32).increment(0, 32)
+        xi = float(wiener_cells(31, 0, 32, 0, 32).sum())
         exact = np.exp(phi.grid.x * xi - phi.grid.x**2) * phi.amplitudes
         w = float(np.sum(np.abs(exact) ** 2) * phi.grid.dx)
         assert rec.weights[0] == pytest.approx(w, rel=1e-12)
@@ -127,8 +129,8 @@ class TestDiosiTrajectory:
 
 class TestHybridTrajectory:
     def test_jump_times_span_several_wait_blocks(self):
-        # about 400 jumps by t = 1 take the waits of ExponentialSequence
-        # blocks 0 and 1 (256 waits each)
+        # about 400 jumps by t = 1 take the waits of blocks 0 and 1
+        # (256 waits each)
         phi = packet(64, 12.0)
         mu = 400.0
         p = HybridParams(1.0, mu, 1.0, (1.0,))
@@ -137,8 +139,7 @@ class TestHybridTrajectory:
         for i, rec in enumerate(recs):
             k = len(rec.flashes)
             assert 256 < k < 512
-            seq = ExponentialSequence(5, i)
-            times = np.cumsum(np.array([seq[j] for j in range(k + 1)]) * (1.0 / mu))
+            times = np.cumsum(waits(5, i, k + 1) * (1.0 / mu))
             assert np.array_equal([f.time for f in rec.flashes], times[:k])
             assert times[k] > 1.0
 
@@ -186,15 +187,15 @@ class TestHybridTrajectory:
         t = 0.7
         p = HybridParams(lam=lam, mu=mu, t_max=t, sample_times=(t,))
         rec = hybrid_trajectory(phi, h, p, seed=44)
-        waits = ExponentialSequence(44, 0)
-        path = WienerPath(44, 0, mu)
+        xs = waits(44, 0, len(rec.flashes) + 1)
+        cells = wiener_cells(44, 0, mu, 0, len(rec.flashes))
         state = phi
         t_k, k = 0.0, 0
         c = CollapseSpec(lam)
-        while t_k + waits[k] / mu <= t:
-            state = evolve_unitary(state, h, waits[k] / mu)
-            state = collapse_flow(state, c, path.increment(k, k + 1), 1.0 / mu)
-            t_k += waits[k] / mu
+        while t_k + xs[k] / mu <= t:
+            state = evolve_unitary(state, h, xs[k] / mu)
+            state = collapse_flow(state, c, cells[k], 1.0 / mu)
+            t_k += xs[k] / mu
             k += 1
         state = normalize(evolve_unitary(state, h, t - t_k))
         assert np.max(np.abs(state.amplitudes
@@ -245,7 +246,7 @@ class TestReweighting:
                         sample_times=(0.5,))
         recs = diosi_ensemble(phi, h, p, 51, 2000)
         ens = reweight_ensemble(recs, 0.5)
-        mean, se = ens.expectation(lambda s: 1.0)
+        mean, se = mean_se(ens.weights)
         assert abs(mean - 1.0) <= 3.0 * se
         assert mean == pytest.approx(ens.mean_weight(), rel=1e-12)
 

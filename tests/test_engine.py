@@ -43,14 +43,8 @@ from collapsim.grid import (
     norm2,
     normalize,
 )
-from collapsim.rng import (
-    ROLE_FLASH_NOISE,
-    ROLE_FLASH_POSITION,
-    ROLE_JUMP_TIMES,
-    ExponentialSequence,
-    WienerPath,
-    stream,
-)
+from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION, ROLE_JUMP_TIMES
+from reference import stream, waits, wiener_cells
 
 GRID = Grid(64, -12.0, 12.0)
 # a centred packet, and one started near the edge and pushed towards it
@@ -224,7 +218,7 @@ def test_an_engine_error_in_a_later_block_is_the_serial_error(threads):
     # hybrid rows 3 and 6, in blocks 3 and 6 of 8, overflow their first flow;
     # 2 and 3 threads put them in different groups
     p = HybridParams(1.0, 4.0, 0.5, (0.5,), deterministic_times=True)
-    marked = {WienerPath(74, i, 4.0).increment(0, 1): i for i in (3, 6)}
+    marked = {wiener_cells(74, i, 4.0, 0, 1)[0]: i for i in (3, 6)}
     flow_rows = diosi._flow_rows
 
     def overflowing(amps, grid, lam, dt, dxi, out=None, buf=None):
@@ -251,7 +245,7 @@ def test_an_engine_error_in_a_later_block_is_the_serial_error(threads):
 def test_diosi_wiener_chunks_ending_inside_blocks(chunk_elements):
     # the flow fetches 7 cells per row at a time, so chunks start and end
     # inside the 4096-cell Wiener blocks (12297 is cut to 3 whole blocks);
-    # each row must still take the cells of its own WienerPath
+    # each row must still take the cells of its own Wiener path
     phi = PACKETS["centre"]
     p = DiosiParams(1.0, 4096, 3.0, (1.0, 3.0))
     whole = diosi_ensemble(phi, HAMILTONIANS["cos"], p, 29, 5, store_states=False)
@@ -260,10 +254,10 @@ def test_diosi_wiener_chunks_ending_inside_blocks(chunk_elements):
         pure = diosi_ensemble(phi, HAMILTONIANS["zero"], p, 29, 5, store_states=False)
     for a, b in zip(whole, chunked):
         assert_same_record(a, b)
-    # with H = 0 the product of flows is exp(x xi_t - t x^2), xi_t from WienerPath
+    # with H = 0 the product of flows is exp(x xi_t - t x^2), xi_t the path's sum
     x = GRID.x
     for i, rec in enumerate(pure):
-        xi = WienerPath(29, i, 4096).increment(0, 3 * 4096)
+        xi = float(wiener_cells(29, i, 4096, 0, 3 * 4096).sum())
         want = np.sum(np.abs(phi.amplitudes * np.exp(x * xi - 3.0 * x * x)) ** 2) * GRID.dx
         assert rec.weights[-1] == pytest.approx(want, rel=1e-9)
 
@@ -280,17 +274,17 @@ def test_engine_matches_literal_composition_with_substeps():
     c = CollapseSpec(lam)
     substeps = 0
     for i, rec in enumerate(recs):
-        waits = ExponentialSequence(seed, i)
-        path = WienerPath(seed, i, mu)
+        xs = waits(seed, i, len(rec.flashes) + 1)
+        cells = wiener_cells(seed, i, mu, 0, len(rec.flashes))
         state, t_k, k = phi, 0.0, 0
         for j, t in enumerate(times):
-            while t_k + waits[k] / mu <= t:
-                substeps += math.ceil(waits[k] / mu / cap)
-                state = evolve_unitary(state, h, waits[k] / mu, max_step=cap)
-                state = collapse_flow(state, c, path.increment(k, k + 1), 1.0 / mu)
+            while t_k + xs[k] / mu <= t:
+                substeps += math.ceil(xs[k] / mu / cap)
+                state = evolve_unitary(state, h, xs[k] / mu, max_step=cap)
+                state = collapse_flow(state, c, cells[k], 1.0 / mu)
                 assert rec.flashes[k].pre_collapse_norm2 == pytest.approx(
                     norm2(state), rel=1e-12)
-                t_k += waits[k] / mu
+                t_k += xs[k] / mu
                 k += 1
             assert rec.weights[j] == pytest.approx(norm2(state), rel=1e-12)
             snap = normalize(evolve_unitary(state, h, t - t_k, max_step=cap))

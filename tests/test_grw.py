@@ -19,8 +19,9 @@ from collapsim import (
 )
 from collapsim.errors import DegenerateStateError, InvalidParameterError
 from collapsim.grid import WaveFunction, normalize
-from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION, stream
+from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION
 from collapsim.stats import ks_1samp, normal_cdf, poisson_chi2_gof
+from reference import stream
 
 # mpmath oracle: N(0.4; 0, 1 + 1/(2*2)) for |psi|^2 = N(0,1), alpha = 2
 FLASH_DENSITY_ORACLE = 0.334703468146928646287973840161

@@ -203,6 +203,37 @@ class TestKappaLemma:
         assert not rep.passed
 
 
+class TestPinnedDraws:
+    """Exact c5 / c6 numbers at n 2000, seed 3: the draws of both checks are pinned."""
+
+    def test_kappa_lemma_moments(self):
+        rep = check_kappa_lemma((10.0, 100.0), 0.0, 1.0, 2000, seed=3)
+        assert rep.statistic == 0.12992411198899478
+        assert rep.details["per_mu"] == {
+            "mu=10.0": {"mean": 1.4952835755667688, "se": 0.010690059681335396,
+                        "normalized": 0.7476417877833844, "tail": 0.0},
+            "mu=100.0": {"mean": 1.9427339072724141, "se": 0.0041620178874767185,
+                         "normalized": 0.9713669536362071, "tail": 0.0}}
+
+    def test_kappa_lemma_poisson_tails(self):
+        # s = t draws the Poisson counts; small mu t makes the tails nonzero
+        rep = check_kappa_lemma((0.25, 0.5), 1.0, 1.0, 2000, seed=3)
+        assert rep.statistic == 20.5
+        assert [e["tail"] for e in rep.details["per_mu"].values()] == [0.1335, 0.0205]
+
+    def test_condition_I_bound_estimates(self):
+        phi = packet(n=128, half=16.0)
+        rep = check_condition_I_bound(phi, (1e-1, 1e-3), 2000, seed=3)
+        assert rep.statistic == 0.20970076006680755
+        per_time = rep.details["per_time"]
+        assert per_time["t=0.1"]["estimate"] == 0.13499473475054385
+        assert per_time["t=0.1"]["se"] == 0.004121196604230895
+        assert per_time["t=0.001"]["estimate"] == 0.0009714563005151043
+        assert per_time["t=0.001"]["se"] == 3.0054713927597684e-05
+        scaled = check_condition_I_bound(phi, (1e-3,), 2000, seed=4, noise_scale=3.0)
+        assert scaled.details["per_time"]["t=0.001"]["estimate"] == 0.008489513400440076
+
+
 class TestConditionIBound:
     def test_zero_time_is_exact_zero(self):
         phi = packet(n=512, half=32.0)
