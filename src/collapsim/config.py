@@ -10,7 +10,8 @@ function of (config, seed).
 import hashlib
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
+from .rng import coarse_ratio
 
 MODELS = ("grw", "diosi", "hybrid", "master", "verify")
 
@@ -81,6 +82,11 @@ class RunConfig:
                 raise ConfigError(
                     f"alpha={self.alpha} violates the scaling constraint "
                     f"2*lambda/mu={derived}")
+        if self.model == "hybrid" and self.wiener_resolution is not None:
+            try:
+                coarse_ratio(self.wiener_resolution, self.mu)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"wiener_resolution: {exc}") from None
         if self.model == "grw" and (self.mu is None or self.alpha is None):
             raise ConfigError("grw runs need mu and alpha")
         if self.model == "diosi" and self.lam is None:

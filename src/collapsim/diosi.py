@@ -28,10 +28,12 @@ both cores of a 2-core machine.  A block does array work only: the random
 draws a block reads are made before the blocks (the hybrid's flow
 increments, the GRW jump times and flash uniforms and normals), except
 that a Diosi block reads its Wiener cells chunk by chunk from a
-``rng.WienerRows`` of its own, since one reused Philox cannot serve two
-threads.  A row's bytes therefore depend neither on the thread count nor
-on which thread ran its block, and an error is raised as the serial loop
-would raise it: that of the lowest failing block.
+``rng.WienerRows`` of its own, whose key cache is not shared between
+threads.  A Wiener read fetches a range of cells for all of its rows in
+one ``WienerRows.fill``; no spec loops over rows to draw them.  A row's
+bytes therefore depend neither on the thread count nor on which thread
+ran its block, and an error is raised as the serial loop would raise it:
+that of the lowest failing block.
 
 The row operations themselves are defined once, in ``grid``:
 ``_unitary_rows``, ``_flow_rows``, ``_norm2_rows`` and ``_normalize_rows``
@@ -154,6 +156,8 @@ class HybridParams:
     resolution across runs with different mu gives common random numbers:
     the coarse increments are sums of the same underlying cells.
     ``deterministic_times`` forces X_k = 1 (jumps exactly on the mesh).
+    A ``wiener_resolution`` that is not a positive multiple of mu is
+    rejected.
     """
 
     lam: float
@@ -166,6 +170,8 @@ class HybridParams:
 
     def __post_init__(self):
         _require_positive(lam=self.lam, mu=self.mu, t_max=self.t_max)
+        if self.wiener_resolution is not None:
+            rngmod.coarse_ratio(self.wiener_resolution, self.mu)
         _validate_substep(self.unitary_substep)
         object.__setattr__(
             self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
@@ -370,10 +376,11 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
     Per-row jump schedules, then the engine over row blocks.  Row i takes
     its waiting times X_k from its Exp(1) waits (or X_k = 1) and its flow
     increments from the coarse sums of its Wiener cells at
-    wiener_resolution, both in the rng layouts; factor k runs when its
-    jump time T_{k+1} = T_k + X_{k+1}/mu is at most the sample time (plus
-    1e-12 relative slack).  Row r's flashes are its first n_flashes[r]
-    factors, at the jump times, with centers (mu / (2 sqrt(lam))) dxi.
+    wiener_resolution, both in the rng layouts (read together for the
+    rows with equally many flashes); factor k runs when its jump time
+    T_{k+1} = T_k + X_{k+1}/mu is at most the sample time (plus 1e-12
+    relative slack).  Row r's flashes are its first n_flashes[r] factors,
+    at the jump times, with centers (mu / (2 sqrt(lam))) dxi.
     """
     indices = list(range(lo, hi))
     n_rows = len(indices)
@@ -394,10 +401,16 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
     counts, taus, residual = _schedule(jump_times, waits * dt_cell, times, limits)
     n_flashes = counts.max(axis=1, initial=0)
     n_factors = taus.shape[1]
+    # rows with the same number of flows read their cells together, at
+    # most _MAX_INCREMENT_ELEMENTS at a time
     dxis = np.zeros((n_rows, n_factors))
-    for r in np.flatnonzero(n_flashes):  # only the cells a row's flows reach
-        dxis[r, :n_flashes[r]] = rngmod.coarse_sums(
-            wiener.fill(r, 0, np.empty(n_flashes[r] * ratio)), ratio)
+    for n in np.unique(n_flashes[n_flashes > 0]):
+        same = np.flatnonzero(n_flashes == n)
+        step = max(1, _MAX_INCREMENT_ELEMENTS // (n * ratio))
+        for g in range(0, same.size, step):
+            rows = same[g:g + step]
+            dxis[rows, :n] = rngmod.coarse_sums(
+                wiener.fill(rows, 0, np.empty((rows.size, n * ratio))), ratio)
     centers = (p.mu / (2.0 * math.sqrt(p.lam))) * dxis
     cap = _substep_cap(p.unitary_substep)
 
@@ -444,16 +457,11 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     indices = list(range(first_index, first_index + n_trajectories))
 
     def block(lo, hi):
-        wiener = rngmod.WienerRows(seed, indices[lo:hi], res)  # one Philox per block
-
-        def increments(k0, k1):
-            out = np.empty((hi - lo, k1 - k0))
-            for r in range(hi - lo):
-                wiener.fill(r, k0, out[r])
-            return out
-
-        flow = _flow_factor(phi0.grid, p.lam, dt, increments, int(steps.max(initial=0)),
-                            hi - lo)
+        wiener = rngmod.WienerRows(seed, indices[lo:hi], res)  # one key cache per block
+        flow = _flow_factor(
+            phi0.grid, p.lam, dt,
+            lambda k0, k1: wiener.fill(slice(None), k0, np.empty((hi - lo, k1 - k0))),
+            int(steps.max(initial=0)), hi - lo)
         weights, states, flags, _ = _trotter_product(
             phi0, h, flow, np.tile(steps, (hi - lo, 1)), dt, store_states=store_states)
         return Trajectories(seed, phi0.grid, p.sample_times, indices[lo:hi], weights, states,

@@ -145,6 +145,19 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: ConfigError: seed")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("resolution", ["12", "0"])
+    def test_wiener_resolution_fails_before_output(self, tmp_path, capsys, resolution):
+        # mu = 8 divides neither
+        text = HYBRID_CFG + f"wiener_resolution = {resolution}\n"
+        with pytest.raises(ConfigError, match="wiener_resolution"):
+            RunConfig.from_text(text)
+        cfg_path = os.path.join(tmp_path, "res.cfg")
+        open(cfg_path, "w").write(text)
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: wiener_resolution")
+        assert not os.path.exists(out)
+
     def test_negative_trajectory_count_rejected(self):
         with pytest.raises(ConfigError, match="n_trajectories"):
             RunConfig.from_text(GRW_CFG + "n_trajectories = -3\n")

@@ -227,6 +227,12 @@ class TestHybridTrajectory:
         assert z4 * 2.0 / 4.0 == pytest.approx(
             sum(z * 2.0 / 16.0 for z in z16), rel=1e-12)
 
+    @pytest.mark.parametrize("resolution", [0.0, -8.0, 12.0, 4.0, math.nan, math.inf])
+    def test_wiener_resolution_must_be_a_multiple_of_mu(self, resolution):
+        with pytest.raises(InvalidParameterError, match="resolution"):
+            HybridParams(lam=1.0, mu=8.0, t_max=0.5, wiener_resolution=resolution)
+        assert HybridParams(lam=1.0, mu=8.0, t_max=0.5, wiener_resolution=24.0)
+
     def test_seed_determinism(self):
         phi = packet(n=128, half=16.0)
         h = HamiltonianSpec(phi.grid, cosine_potential(phi.grid, 0.5))
