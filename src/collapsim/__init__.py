@@ -46,7 +46,6 @@ from .grw import (
     grw_ensemble,
     grw_trajectory,
     sample_flash_center,
-    sample_jump_times,
 )
 from .diosi import (
     DiosiParams,

@@ -173,7 +173,8 @@ def _build_parser():
 
     ver = sub.add_parser("verify", help="run the acceptance criteria")
     ver.add_argument("--config", default=None)
-    ver.add_argument("--output", default="verify_out")
+    ver.add_argument("--output", default=None,
+                     help="output directory (default: the config's output_dir, else verify_out)")
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--criteria", default=None,
                      help="comma-separated criterion numbers (default all)")
@@ -196,19 +197,16 @@ def main(argv=None):
                 print(p)
             return 0
         if args.command == "verify":
-            seed = args.seed
-            criteria = None
+            seed, criteria, out = args.seed, None, args.output
             if args.config:
                 cfg = RunConfig.from_file(args.config)
                 seed = seed if seed is not None else cfg.seed
                 criteria = list(cfg.criteria) or None
-                out = args.output or cfg.output_dir or "verify_out"
-            else:
-                out = args.output
+                out = out or cfg.output_dir
             if args.criteria:
                 criteria = args.criteria.split(",")
             seed = DEFAULT_VERIFY_SEED if seed is None else seed
-            reports, _ = run_verify(seed, out, criteria)
+            reports, _ = run_verify(seed, out or "verify_out", criteria)
             return 0 if all(r.passed for r in reports) else 1
         if args.command == "export":
             path = run_export(args.archive, args.time, args.output)

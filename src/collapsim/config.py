@@ -8,6 +8,7 @@ function of (config, seed).
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvalidParameterError
@@ -72,9 +73,17 @@ class RunConfig:
             raise ConfigError("seed is mandatory")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.model != "hybrid":  # the keys only the hybrid process reads
+            if self.deterministic_times:
+                raise ConfigError(f"deterministic_times: {self.model} runs do not use it")
+            if self.wiener_resolution is not None:
+                raise ConfigError(f"wiener_resolution: {self.model} runs do not use it")
         if self.model == "hybrid" or (self.mu is not None and self.lam is not None):
             if self.mu is None or self.lam is None:
                 raise ConfigError("hybrid runs need both mu and lambda")
+            for key, value in (("mu", self.mu), ("lambda", self.lam), ("alpha", self.alpha)):
+                if value is not None and not 0.0 < value < math.inf:  # NaN fails too
+                    raise ConfigError(f"{key} must be positive and finite, got {value}")
             derived = 2.0 * self.lam / self.mu
             if self.alpha is None:
                 self.alpha = derived

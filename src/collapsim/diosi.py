@@ -25,8 +25,8 @@ stores.
 ``parallel.engine_threads()`` threads, in contiguous groups of blocks;
 numpy and the FFTs release the GIL, so the blocks of one call run on
 both cores of a 2-core machine.  A block does array work only: the random
-draws a block reads are made before the blocks (the hybrid's flow
-increments, the GRW jump times and flash uniforms and normals), except
+draws a block reads are made before the blocks (the jump schedules, the
+hybrid's flow increments, the GRW flash uniforms and normals), except
 that a Diosi block reads its Wiener cells chunk by chunk from a
 ``rng.WienerRows`` of its own, whose key cache is not shared between
 threads.  A Wiener read fetches a range of cells for all of its rows in
@@ -39,12 +39,15 @@ The row operations themselves are defined once, in ``grid``:
 ``_unitary_rows``, ``_flow_rows``, ``_norm2_rows`` and ``_normalize_rows``
 (the GRW hit adds ``_hit_rows``).  The single-state propagators there are
 the same operations on a batch of one.  This module holds the engine, the
-factor schedules and the fetching of Wiener increments.  Every operation
+jump clock and the fetching of Wiener increments.  Every operation
 acts row by row (elementwise products, FFTs along the last axis, per-row
 sums and per-row random streams), so a row's bytes do not depend on its
 batch or its block, and a single trajectory is a batch of one.
 
-Three processes are thin specs over the engine:
+Three processes are thin specs over the engine.  The two jump processes
+share one clock, ``_jump_schedule``, as in the paper: Exp(1) waits X_k,
+jump times T_k = (X_1 + ... + X_k) / mu; only the factor applied at a jump
+differs.
 
 * Diosi, the linear diffusion under the reference measure,
 
@@ -66,11 +69,11 @@ Three processes are thin specs over the engine:
   hybrid reproduces the jump process in law and converges to the
   diffusion process.
 
-* the GRW jump process (``grw``): factor k is the unitary up to jump time
-  T_k followed by a Gaussian hit whose center is drawn from the evolved
-  row, after which the row is renormalized.  A hit at center y is the flow
-  over a cell of length 1/mu with dxi = 2 sqrt(lam) y / mu, times a
-  per-row constant.
+* the GRW jump process (``grw``): factor k is the unitary of duration
+  X_k/mu up to jump time T_k followed by a Gaussian hit whose center is
+  drawn from the evolved row, after which the row is renormalized.  A hit
+  at center y is the flow over a cell of length 1/mu with
+  dxi = 2 sqrt(lam) y / mu, times a per-row constant.
 """
 
 import math
@@ -317,27 +320,6 @@ def _flat_flashes(n_flashes, times, centers, norms):
     return times[keep], centers[keep], norms[keep], n_flashes
 
 
-def _schedule(jump_times, taus, times, limits):
-    """Factor counts, unitary durations and residuals of per-row jump schedules.
-
-    ``jump_times`` (N, M) holds row r's jump times, increasing and padded
-    with inf, and ``taus`` (N, M) the duration of the unitary before each
-    jump.  Factor k of row r comes before snapshot j when its jump time is
-    at most ``limits[j]``, so a jump at a sample time precedes that
-    snapshot.  Returns counts (N, T), the taus of the first K factors, K the
-    most factors any row runs, and the residual (N, T), the unitary from a
-    row's last jump (or 0) to ``times[j]``.
-    """
-    counts = np.zeros((jump_times.shape[0], len(limits)), dtype=np.int64)
-    for j, lim in enumerate(limits):
-        counts[:, j] = np.count_nonzero(jump_times <= lim, axis=1)
-    # the time of each row's last jump before snapshot j, 0 before the first
-    last = np.take_along_axis(
-        np.hstack([np.zeros((len(jump_times), 1)), jump_times]), counts, axis=1)
-    residual = np.maximum(0.0, np.asarray(times) - last)
-    return counts, taus[:, :int(counts.max(initial=0))], residual
-
-
 def _snap_steps(sample_times, resolution):
     steps = [int(round(t * resolution)) for t in sample_times]
     if any(b <= a for a, b in zip(steps, steps[1:])):
@@ -370,17 +352,52 @@ def _waiting_times(seed, indices, dt_cell, horizon):
     return waits
 
 
+def _jump_schedule(seed, indices, mu, times, horizon, deterministic):
+    """The Poisson clock of the jump processes: per-row jump times and engine schedule.
+
+    Row i waits X_1, X_2, ...: its Exp(1) waits in the rng layout
+    (``_waiting_times``), or X_k = 1 when ``deterministic``.  Its jump times
+    are T_k = X_1 / mu + ... + X_k / mu, the running sum of X_l * (1/mu)
+    (k * (1/mu) when deterministic), and the unitary before jump k lasts
+    X_k * (1/mu).  The sample ``times`` and the ``horizon`` both carry a
+    1e-12 relative slack: jump k comes before snapshot j when T_k <=
+    times[j] + 1e-12 max(1, times[j]), so a jump at a sample time (the
+    deterministic k * (1/mu) at k / mu included) precedes that snapshot, and
+    the waits run until T_k passes the horizon so padded.  Returns
+    (jump_times, taus, counts, residual): the (N, K) jump times and unitary
+    durations of the first K factors, K the most factors any row runs; the
+    (N, T) factor counts before each snapshot; and the (N, T) residual
+    unitary from a row's last jump (or 0) to times[j].
+    """
+    dt_cell = 1.0 / mu
+    times = np.asarray(times, dtype=float)
+    limits = times + 1e-12 * np.maximum(1.0, np.abs(times))
+    horizon = horizon + 1e-12 * max(1.0, abs(horizon))
+    if deterministic:
+        waits = np.ones((len(indices), int(horizon * mu) + 2))
+        jump_times = np.tile((np.arange(waits.shape[1]) + 1) * dt_cell, (len(indices), 1))
+    else:
+        waits = _waiting_times(seed, indices, dt_cell, horizon)
+        jump_times = np.cumsum(waits * dt_cell, axis=1)
+    counts = np.zeros((len(indices), len(limits)), dtype=np.int64)
+    for j, lim in enumerate(limits):
+        counts[:, j] = np.count_nonzero(jump_times <= lim, axis=1)
+    # the time of each row's last jump before snapshot j, 0 before the first
+    last = np.take_along_axis(
+        np.hstack([np.zeros((len(indices), 1)), jump_times]), counts, axis=1)
+    k = int(counts.max(initial=0))
+    return jump_times[:, :k], waits[:, :k] * dt_cell, counts, np.maximum(0.0, times - last)
+
+
 def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
     """Hybrid spec: the Trajectories of indices lo .. hi-1, one engine call.
 
-    Per-row jump schedules, then the engine over row blocks.  Row i takes
-    its waiting times X_k from its Exp(1) waits (or X_k = 1) and its flow
-    increments from the coarse sums of its Wiener cells at
-    wiener_resolution, both in the rng layouts (read together for the
-    rows with equally many flashes); factor k runs when its jump time
-    T_{k+1} = T_k + X_{k+1}/mu is at most the sample time (plus 1e-12
-    relative slack).  Row r's flashes are its first n_flashes[r] factors,
-    at the jump times, with centers (mu / (2 sqrt(lam))) dxi.
+    The jump schedule of ``_jump_schedule`` up to the last sample time,
+    then the engine over row blocks.  Row i takes its flow increments from
+    the coarse sums of its Wiener cells at wiener_resolution, in the rng
+    layout (read together for the rows with equally many flashes).  Row
+    r's flashes are its first n_flashes[r] factors, at the jump times, with
+    centers (mu / (2 sqrt(lam))) dxi.
     """
     indices = list(range(lo, hi))
     n_rows = len(indices)
@@ -389,16 +406,9 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
     ratio = rngmod.coarse_ratio(base, p.mu)
     dt_cell = 1.0 / p.mu
     _check_flow_budget(phi0.grid, p.lam, dt_cell)
-    times = np.array(p.sample_times, dtype=float)
-    limits = times + 1e-12 * np.maximum(1.0, np.abs(times))
-    horizon = limits[-1] if limits.size else 0.0
-    if p.deterministic_times:  # X_k = 1, T_k = k / mu
-        waits = np.ones((n_rows, int(horizon * p.mu) + 2))
-        jump_times = np.tile((np.arange(waits.shape[1]) + 1) * dt_cell, (n_rows, 1))
-    else:
-        waits = _waiting_times(seed, indices, dt_cell, horizon)
-        jump_times = np.cumsum(waits * dt_cell, axis=1)
-    counts, taus, residual = _schedule(jump_times, waits * dt_cell, times, limits)
+    times = p.sample_times
+    jump_times, taus, counts, residual = _jump_schedule(
+        seed, indices, p.mu, times, times[-1] if times else 0.0, p.deterministic_times)
     n_flashes = counts.max(axis=1, initial=0)
     n_factors = taus.shape[1]
     # rows with the same number of flows read their cells together, at
@@ -422,8 +432,7 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
             store_states=store_states, flash_norms=True)
         return Trajectories(seed, phi0.grid, p.sample_times, indices[b0:b1], weights, states,
                             flags.any(axis=1), *_flat_flashes(
-                                n_flashes[b0:b1], jump_times[b0:b1, :n_factors],
-                                centers[b0:b1], norms))
+                                n_flashes[b0:b1], jump_times[b0:b1], centers[b0:b1], norms))
 
     return Trajectories.concat(_in_blocks(n_rows, phi0.grid.n_points, block))
 

@@ -7,10 +7,13 @@ which is sampled exactly in two stages: a grid position from |psi|^2 dx,
 plus independent Normal(0, 1/(2 alpha)) noise.  The two-stage law equals
 the convolution density by construction.
 
-Trajectories run on ``diosi._trotter_product``: factor k is the unitary
-from jump T_{k-1} to jump T_k followed by the hit factor, which draws each
-row's center from that row's evolved state with the row's k-th uniform
-and k-th normal, multiplies by (alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2)
+Trajectories run on ``diosi._trotter_product``, on the jump clock the
+hybrid process also runs on (``diosi._jump_schedule``): Exp(1) waits X_k
+in the rng layout and jump times T_k = X_1 / mu + ... + X_k / mu.
+Factor k is the unitary of duration X_k / mu followed by the hit factor,
+which draws each row's center from that row's evolved state with the
+row's k-th uniform and k-th normal, multiplies by (alpha/pi)^(1/4)
+exp(-(alpha/2)(x - y)^2)
 (``grid._hit_rows``), records the raw squared norm and renormalizes
 (``grid._normalize_rows``).  The uniforms and normals, from the row's own
 ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams, are drawn for every
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import parallel
 from . import rng as rngmod
-from .diosi import _flat_flashes, _in_blocks, _schedule, _trotter_product
+from .diosi import _flat_flashes, _in_blocks, _jump_schedule, _trotter_product
 from .errors import DegenerateStateError, InvalidParameterError
 from .grid import (
     BOUNDARY_MASS_LIMIT,
@@ -57,30 +60,6 @@ class GrwParams:
         _validate_substep(self.unitary_substep)
         object.__setattr__(
             self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
-
-
-def sample_jump_times(mu, t_max, rng):
-    """Jump times T_n = sum_{k<=n} X_k / mu with X_k ~ Exp(1) i.i.d.
-
-    Returns the strictly increasing times <= t_max; their count is
-    Poisson(mu * t_max) distributed.
-    """
-    if mu <= 0 or t_max <= 0:
-        raise InvalidParameterError("mu and t_max must be positive")
-    budget = mu * t_max
-    total = 0.0
-    chunks = []
-    # expected count + generous tail margin per draw round
-    size = max(16, int(budget + 8.0 * math.sqrt(budget) + 16))
-    while True:
-        xs = rng.standard_exponential(size)
-        cum = total + np.cumsum(xs)
-        chunks.append(cum[cum <= budget])
-        if cum[-1] > budget:
-            break
-        total = float(cum[-1])
-    arrivals = np.concatenate(chunks) if chunks else np.empty(0)
-    return arrivals / mu
 
 
 def flash_density(psi, alpha, y):
@@ -164,44 +143,37 @@ def _hit_factor(grid, alpha, uniforms, normals):
     return hit, centers, flags
 
 
-def _grw_records(phi0, h, p, seed, lo, hi):
+def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=False):
     """The Trajectories of the jump indices lo .. hi-1, in row blocks.
 
-    Row i takes its jump times from sample_jump_times on its
-    ROLE_JUMP_TIMES stream; every jump up to t_max is a factor, including
-    those after the last sample time, whose flashes are recorded too.
+    The jumps are those of ``diosi._jump_schedule`` up to t_max (every wait
+    X_k = 1 when ``deterministic``).  Every one of them is a factor,
+    including those after the last sample time, whose flashes are recorded
+    too.  Without ``store_states`` the rows keep no states, and their
+    boundary flags come from the hits alone.
     """
     indices = range(lo, hi)
-    jumps = [sample_jump_times(p.mu, p.t_max, g) for g in rngmod.row_generators(
-        rngmod.philox_keys(seed, indices, rngmod.ROLE_JUMP_TIMES))]
-    width = max(map(len, jumps), default=0)
-    jump_times = np.full((len(jumps), width), np.inf)
-    taus = np.zeros((len(jumps), width))
-    for r, t in enumerate(jumps):
-        jump_times[r, :t.size] = t
-        taus[r, :t.size] = np.diff(t, prepend=0.0)
     times = p.sample_times
     n_times = len(times)
-    # one more column, after every jump and with no residual unitary, runs the
-    # jumps that follow the last sample time; its snapshot is dropped
-    ext = times + (np.finfo(float).max,)
-    counts, taus, residual = _schedule(jump_times, taus, ext, ext)
+    # one more column at t_max, after every jump and with no residual unitary,
+    # runs the jumps that follow the last sample time; its snapshot is dropped
+    jump_times, taus, counts, residual = _jump_schedule(
+        seed, indices, p.mu, times + (p.t_max,), p.t_max, deterministic)
     residual[:, -1] = 0.0
-    n_factors = taus.shape[1]
-    uniforms, normals = _flash_draws(seed, indices, n_factors)
+    uniforms, normals = _flash_draws(seed, indices, taus.shape[1])
 
     def block(b0, b1):
         hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, uniforms[b0:b1],
                                               normals[b0:b1])
         _, states, flags, norms = _trotter_product(
             phi0, h, hit, counts[b0:b1], taus[b0:b1], residual[b0:b1],
-            _substep_cap(p.unitary_substep), flash_norms=True)
+            _substep_cap(p.unitary_substep), store_states=store_states, flash_norms=True)
         return Trajectories(seed, phi0.grid, times, indices[b0:b1], np.ones((b1 - b0, n_times)),
-                            states[:, :n_times], flags[:, :n_times].any(axis=1) | hit_flags,
-                            *_flat_flashes(counts[b0:b1, -1], jump_times[b0:b1, :n_factors],
-                                           centers, norms))
+                            states if states is None else states[:, :n_times],
+                            flags[:, :n_times].any(axis=1) | hit_flags,
+                            *_flat_flashes(counts[b0:b1, -1], jump_times[b0:b1], centers, norms))
 
-    return Trajectories.concat(_in_blocks(len(jumps), phi0.grid.n_points, block))
+    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block))
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):

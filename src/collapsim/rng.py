@@ -28,6 +28,9 @@ R / M fine cells, so processes at different resolutions share one path.
 
 Waits.  Exp(1) wait k of trajectory t is value k % 256 (EXPONENTIAL_BLOCK)
 of the standard exponentials of stream (seed, t, ROLE_JUMP_TIMES, k // 256).
+Every jump process reads its waits so: the GRW and hybrid processes run on
+the one jump clock ``diosi._jump_schedule``, whose jump times are the
+running sums of wait k times 1/mu.
 
 Row draws.  ``fill_rows`` gives row r values start .. start + K - 1 of
 key r's stream, exactly as a Generator on a Philox at {counter 0, key r}
@@ -275,16 +278,6 @@ def fill_rows(keys, method, out, start=0):
     if redo.size:
         out[redo] = _fill_each(keys[redo], method, np.empty((redo.size, out.shape[1])), start)
     return out
-
-
-def row_generators(keys):
-    """Yield one Generator, restarted in turn at the stream of each key.
-
-    The same object is yielded every time, so a row's draws must be made
-    before the next row is requested.
-    """
-    gen = _Restartable()
-    return (gen.at(key) for key in keys)
 
 
 def coarse_ratio(cells_per_unit, mesh_per_unit):

@@ -17,10 +17,10 @@ import numpy as np
 import scipy.fft
 
 from . import rng as rngmod
-from .diosi import HybridParams, _in_blocks, _trotter_product, diosi_ensemble, hybrid_ensemble
+from .diosi import HybridParams, diosi_ensemble, hybrid_ensemble
 from .errors import GridMismatchError, InvalidParameterError
 from .grid import WaveFunction, norm2, nyquist_mass_fraction
-from .grw import _flash_draws, _hit_factor
+from .grw import GrwParams, _grw_records
 from .stats import effective_sample_size, ks_2samp, mean_se
 from . import grid as gridmod
 
@@ -181,12 +181,14 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
                              hybrid_alpha=None):
     """Law equality of jump-process flash centers and reweighted increments.
 
-    With H = 0 and deterministic waiting times, draws (Y_1..Y_n) through
-    the jump-process sampler and (Z_1..Z_n, w) through hybrid trajectories
-    reweighted by the raw squared norm, then runs a weighted two-sample KS
-    test on every marginal and on the coordinate sum, Bonferroni-corrected
-    at the 1% level.  An effective sample size below 100 on the weighted
-    side is reported as inconclusive rather than as a failure.
+    With H = 0 and deterministic waiting times (X_k = 1, jumps at k / mu),
+    takes (Y_1..Y_n) as the flash centers of jump-process trajectories and
+    (Z_1..Z_n, w) as those of hybrid trajectories reweighted by the raw
+    squared norm; both sides are their processes' own specs on the one
+    jump schedule.  It then runs a weighted two-sample KS test on every
+    marginal and on the coordinate sum, Bonferroni-corrected at the 1%
+    level.  An effective sample size below 100 on the weighted side is
+    reported as inconclusive rather than as a failure.
 
     Negative control: pass ``hybrid_alpha`` != alpha; the test must fail.
     """
@@ -205,15 +207,10 @@ def check_flash_vs_increment(phi0, alpha, mu, n_jumps, n_samples, seed,
             name="flash_vs_increment", statistic=0.0, threshold=1.0,
             n_samples=n_samples, details={**report_details, "status": "vacuous"})
 
-    uniforms, normals = _flash_draws(seed, range(n_samples), n_jumps)
-
-    def grw_block(lo, hi):  # n_jumps hits per row, H = 0
-        hit, centers, _ = _hit_factor(grid, alpha, uniforms[lo:hi], normals[lo:hi])
-        _trotter_product(phi0, h0, hit, np.full((hi - lo, 1), n_jumps), 0.0,
-                         store_states=False)
-        return centers
-
-    ys = np.concatenate(_in_blocks(n_samples, grid.n_points, grw_block))
+    p_grw = GrwParams(mu=mu, alpha=alpha, t_max=n_jumps / mu)
+    grw = _grw_records(phi0, h0, p_grw, seed, 0, n_samples, store_states=False,
+                       deterministic=True)
+    ys = grw.flash_centers.reshape(n_samples, n_jumps)  # X_k = 1: same count each row
 
     p_hyb = HybridParams(
         lam=lam, mu=mu, t_max=n_jumps / mu, sample_times=(n_jumps / mu,),
@@ -412,8 +409,8 @@ def _kappa_mc(mu, s, t, n_samples, seed, stream_index, kappa_power):
     E[|k(t)-k(s)|^power * sum X^2 over the jumps in (s, t]] / mu^2 and the
     tail is E[k(t)^2 1{k(t) > 6 mu t}].
     """
-    keys = rngmod.philox_keys(seed, [stream_index], rngmod.ROLE_JUMP_TIMES)
-    rng = next(rngmod.row_generators(keys))
+    key = rngmod.philox_keys(seed, [stream_index], rngmod.ROLE_JUMP_TIMES)[0]
+    rng = np.random.Generator(np.random.Philox(key=key))
     budget = mu * t
     m_total = int(budget + 12.0 * math.sqrt(budget + 1.0) + 64)
     chunk = max(1, min(n_samples, 20_000_000 // m_total))
@@ -461,8 +458,8 @@ def check_kappa_lemma(mu_list, s, t, n_samples, seed, kappa_power=1):
     for j, mu in enumerate(mu_list):
         if gap == 0.0:
             mean = se = 0.0
-            keys = rngmod.philox_keys(seed, [j], rngmod.ROLE_JUMP_TIMES)
-            kt = next(rngmod.row_generators(keys)).poisson(mu * t, size=n_samples)
+            key = rngmod.philox_keys(seed, [j], rngmod.ROLE_JUMP_TIMES)[0]
+            kt = np.random.Generator(np.random.Philox(key=key)).poisson(mu * t, size=n_samples)
             tail_mean = float(np.where(kt > 6.0 * mu * t, kt.astype(float) ** 2,
                                        0.0).mean())
         else:

@@ -30,3 +30,17 @@ def waits(seed, trajectory, m, block_size=EXPONENTIAL_BLOCK):
     blocks = [stream(seed, trajectory, ROLE_JUMP_TIMES, b).standard_exponential(block_size)
               for b in range(-(-m // block_size))]
     return np.concatenate([np.empty(0)] + blocks)[:m]
+
+
+def jump_times(seed, trajectory, mu, t_max):
+    """The jump times of trajectory up to t_max: running sums of its waits times 1/mu.
+
+    A jump within 1e-12 relative of t_max counts as at or before it.
+    """
+    limit = t_max + 1e-12 * max(1.0, abs(t_max))
+    m = EXPONENTIAL_BLOCK
+    while True:
+        times = np.cumsum(waits(seed, trajectory, m) * (1.0 / mu))
+        if times[-1] > limit:
+            return times[times <= limit]
+        m *= 2

@@ -180,6 +180,37 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_text(HYBRID_CFG + "kinetic = maybe\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("mu", "0"), ("mu", "-8"), ("mu", "nan"), ("mu", "inf"), ("lambda", "-1"),
+        ("alpha", "0")])
+    def test_bad_rate_fails_before_output(self, tmp_path, capsys, key, value):
+        # checked before alpha is derived from mu and lambda
+        text = "\n".join(line for line in HYBRID_CFG.splitlines()
+                         if line.split("=")[0].strip() != key) + f"\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_text(text)
+        cfg_path = os.path.join(tmp_path, "rate.cfg")
+        open(cfg_path, "w").write(text)
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {key} must be positive")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("cfg, line", [
+        (GRW_CFG, "deterministic_times = yes"), (GRW_CFG, "wiener_resolution = 64"),
+        (DIOSI_CFG, "wiener_resolution = 256")])
+    def test_hybrid_only_key_fails_before_output(self, tmp_path, capsys, cfg, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_text(cfg + line + "\n")
+        cfg_path = os.path.join(tmp_path, "extra.cfg")
+        open(cfg_path, "w").write(cfg + line + "\n")
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {key}")
+        assert not os.path.exists(out)
+        assert RunConfig.from_text(cfg + "deterministic_times = no\n")
+
 
 def _record_starts(blob, records, n_points):
     """Byte offsets of each record block and of the end, from the documented layout."""
@@ -496,6 +527,18 @@ class TestCliVerify:
         assert main(["verify", "--output", out] + args) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
         assert not os.path.exists(out)
+
+    def test_output_dir_comes_from_the_config(self, tmp_path, capsys):
+        cfg_path = os.path.join(tmp_path, "verify.cfg")
+        from_cfg = os.path.join(tmp_path, "from_cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"model = verify\nseed = 1\ncriteria = 7\noutput_dir = {from_cfg}\n")
+        assert main(["verify", "--config", cfg_path]) == 0
+        assert os.listdir(from_cfg) == ["criterion_7_numerics_baseline.json"]
+        given = os.path.join(tmp_path, "given")
+        assert main(["verify", "--config", cfg_path, "--output", given]) == 0
+        assert os.listdir(given) == ["criterion_7_numerics_baseline.json"]
+        capsys.readouterr()
 
     def test_criterion_7_passes(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "v")

@@ -30,7 +30,6 @@ from collapsim import (
     hybrid_trajectory,
     make_gaussian_packet,
     sample_flash_center,
-    sample_jump_times,
 )
 from collapsim import diosi, parallel
 from collapsim.errors import DegenerateStateError, InvalidParameterError, StepTooLargeError
@@ -43,8 +42,8 @@ from collapsim.grid import (
     norm2,
     normalize,
 )
-from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION, ROLE_JUMP_TIMES
-from reference import stream, waits, wiener_cells
+from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION
+from reference import jump_times, stream, waits, wiener_cells
 
 GRID = Grid(64, -12.0, 12.0)
 # a centred packet, and one started near the edge and pushed towards it
@@ -308,7 +307,7 @@ def test_grw_matches_literal_composition_with_substeps():
     substeps = hits = 0
     flags, hit_flags = [], []
     for i, rec in enumerate(recs):
-        jumps = sample_jump_times(mu, 1.0, stream(seed, i, ROLE_JUMP_TIMES))
+        jumps = jump_times(seed, i, mu, 1.0)
         pos = stream(seed, i, ROLE_FLASH_POSITION)
         noise = stream(seed, i, ROLE_FLASH_NOISE)
         assert [f.time for f in rec.flashes] == jumps.tolist()
@@ -349,7 +348,7 @@ def test_grw_jump_at_a_sample_time_comes_before_the_snapshot():
     phi = make_gaussian_packet(grid, 0.0, 1.0)
     h0 = HamiltonianSpec.zero(grid)
     alpha, seed = 0.5, 65
-    t_hit = sample_jump_times(4.0, 1.0, stream(seed, 0, ROLE_JUMP_TIMES))[0]
+    t_hit = jump_times(seed, 0, 4.0, 1.0)[0]
     rec = grw_trajectory(phi, h0, GrwParams(4.0, alpha, 1.0, (float(t_hit),)), seed)
     after = normalize(gaussian_hit(phi, rec.flashes[0].center, alpha))
     assert np.max(np.abs(rec.states[0].amplitudes - after.amplitudes)) <= 1e-12

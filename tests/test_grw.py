@@ -1,5 +1,6 @@
-"""Jump-process tests: waiting times, flash sampling, trajectory identities."""
+"""Jump-process tests: the jump clock, flash sampling, trajectory identities."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,13 +16,13 @@ from collapsim import (
     make_gaussian_packet,
     norm2,
     sample_flash_center,
-    sample_jump_times,
 )
 from collapsim.errors import DegenerateStateError, InvalidParameterError
 from collapsim.grid import WaveFunction, normalize
+from collapsim.grw import _grw_records
 from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION
 from collapsim.stats import ks_1samp, normal_cdf, poisson_chi2_gof
-from reference import stream
+from reference import jump_times, stream
 
 # mpmath oracle: N(0.4; 0, 1 + 1/(2*2)) for |psi|^2 = N(0,1), alpha = 2
 FLASH_DENSITY_ORACLE = 0.334703468146928646287973840161
@@ -31,41 +32,68 @@ def packet(sigma=1.0, center=0.0):
     return make_gaussian_packet(Grid(256, -20.0, 20.0), center, sigma)
 
 
+# a small grid: with H = 0 the jump times are the package's clock, and the
+# hits only have to be cheap
+CLOCK_GRID = Grid(16, -8.0, 8.0)
+
+
+@functools.lru_cache(maxsize=None)
+def clock(mu, t_max, seed, n, deterministic=False):
+    """Row i's flash times in an ensemble of n jump trajectories with H = 0."""
+    phi = make_gaussian_packet(CLOCK_GRID, 0.0, 1.0)
+    ens = _grw_records(phi, HamiltonianSpec.zero(CLOCK_GRID), GrwParams(mu, 1.0, t_max),
+                       seed, 0, n, deterministic=deterministic)
+    return np.split(ens.flash_times, np.cumsum(ens.n_flashes)[:-1])
+
+
 class TestJumpTimes:
     def test_empty_at_vanishing_window(self):
-        rng = stream(1, 0, 0)
-        assert sample_jump_times(5.0, 1e-12, rng).size == 0
+        assert all(t.size == 0 for t in clock(5.0, 1e-12, 1, 100))
 
     def test_strictly_increasing_and_bounded(self):
-        rng = stream(2, 0, 0)
-        times = sample_jump_times(20.0, 2.0, rng)
-        assert np.all(np.diff(times) > 0)
-        assert times[-1] <= 2.0
+        for times in clock(20.0, 2.0, 2, 50):
+            assert np.all(np.diff(times) > 0) and times[0] > 0
+            assert times[-1] <= 2.0
 
     def test_poisson_mean(self):
         # oracle: count mean/variance of Poisson(mu t) = 10
-        counts = [sample_jump_times(10.0, 1.0, stream(3, i, 0)).size
-                  for i in range(10_000)]
+        counts = [t.size for t in clock(10.0, 1.0, 3, 10_000)]
         mean = np.mean(counts)
         se = math.sqrt(10.0 / 10_000)
         assert abs(mean - 10.0) <= 3.0 * se
 
     def test_poisson_count_chi2(self):
-        counts = np.array([sample_jump_times(4.0, 1.0, stream(4, i, 0)).size
-                           for i in range(10_000)])
+        counts = np.array([t.size for t in clock(4.0, 1.0, 4, 10_000)])
         _, p, _ = poisson_chi2_gof(counts, 4.0)
         assert p >= 0.01
 
     def test_gap_distribution_exponential(self):
-        rng = stream(5, 0, 0)
-        times = sample_jump_times(50.0, 250.0, rng)
-        gaps = 50.0 * np.diff(times)[:10_000]
+        # the first 10 gaps of a row end long before t_max = 20 (mu t = 200),
+        # so they are i.i.d. Exp(1) once scaled by mu
+        gaps = np.concatenate([10.0 * np.diff(t[:10], prepend=0.0)
+                               for t in clock(10.0, 20.0, 5, 1000)])
+        assert gaps.size == 10_000
         _, p = ks_1samp(gaps, lambda x: 1.0 - np.exp(-x))
         assert p >= 0.01
 
+    @pytest.mark.parametrize("mu", [512.0, 600.0])
+    def test_more_than_one_block_of_waits_follows_the_layout(self, mu):
+        # about mu jumps per row: waits 256 and later come from the second
+        # block of the row's ROLE_JUMP_TIMES stream
+        rows = clock(mu, 1.0, 6, 5)
+        assert all(t.size > 256 for t in rows)
+        for i, times in enumerate(rows):
+            assert np.array_equal(times, jump_times(6, i, mu, 1.0))
+
+    @pytest.mark.parametrize("mu", [3.0, 4.0, 5.0, 10.0])
+    def test_deterministic_jumps_land_on_t_max(self, mu):
+        # 3 * (1/mu) rounds past 3 / mu at mu 5 and 10; the slack keeps that jump
+        for times in clock(mu, 3.0 / mu, 7, 3, deterministic=True):
+            assert np.array_equal(times, np.arange(1, 4) * (1.0 / mu))
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
-            sample_jump_times(0.0, 1.0, stream(6, 0, 0))
+            GrwParams(0.0, 1.0, 1.0)
 
 
 class TestFlashDensity:

@@ -204,7 +204,33 @@ class TestKappaLemma:
 
 
 class TestPinnedDraws:
-    """Exact c5 / c6 numbers at n 2000, seed 3: the draws of both checks are pinned."""
+    """Exact c1 / c5 / c6 numbers at seed 3: the draws of these checks are pinned."""
+
+    def test_flash_vs_increment_one_jump(self):
+        rep = check_flash_vs_increment(packet(), 0.5, 4.0, 1, 1000, seed=3)
+        assert rep.statistic == 0.3194824934236702
+        d = rep.details
+        assert d["p_values"] == {"marginal_1": 0.3194824934236702}
+        assert d["effective_sample_size"] == 748.9510931743291
+        assert d["mean_weight"] == 0.9876341021064259
+        assert d["var_first_marginal_grw"] == 1.9760273480115644
+        assert d["var_first_marginal_grw_se"] == 0.08444772327370066
+        assert d["var_first_marginal_hybrid"] == 1.732593448517925
+        assert d["var_first_marginal_hybrid_se"] == 0.1492594274781784
+
+    def test_flash_vs_increment_two_jumps(self):
+        rep = check_flash_vs_increment(packet(), 0.5, 4.0, 2, 1000, seed=3)
+        assert rep.statistic == 0.3460248144416055
+        d = rep.details
+        assert d["p_values"] == {"marginal_1": 0.3479112313450106,
+                                 "marginal_2": 0.7979383390778507,
+                                 "coordinate_sum": 0.3460248144416055}
+        assert d["effective_sample_size"] == 369.83495344536124
+        assert d["mean_weight"] == 0.9574456544338847
+        assert d["var_first_marginal_grw"] == 1.9760273480115644
+        assert d["var_first_marginal_grw_se"] == 0.08444772327370066
+        assert d["var_first_marginal_hybrid"] == 1.6560291341379134
+        assert d["var_first_marginal_hybrid_se"] == 0.2670561445253446
 
     def test_kappa_lemma_moments(self):
         rep = check_kappa_lemma((10.0, 100.0), 0.0, 1.0, 2000, seed=3)
