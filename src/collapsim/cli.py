@@ -1,9 +1,10 @@
 """Command-line front end: simulate, verify, export.
 
 All artifacts are pure functions of (config, seed); the worker count comes
-from the COLLAPSIM_WORKERS environment variable (or --workers) and never
-affects results, only wall time.  On failure, partially written outputs
-are removed and a single machine-parsable error line goes to stderr.
+from --workers (or the COLLAPSIM_WORKERS environment variable), caps the
+engine's threads and never affects results, only wall time.  On failure,
+partially written outputs are removed and a single machine-parsable error
+line goes to stderr.
 """
 
 import argparse
@@ -48,19 +49,42 @@ def _write_text(path, text, created):
     created.append(path)
 
 
+def _model_params(cfg):
+    """The parameter object of a trajectory model's run; None for a master run."""
+    if cfg.model == "grw":
+        return GrwParams(mu=cfg.mu, alpha=cfg.alpha, t_max=cfg.t_max,
+                         sample_times=cfg.sample_times)
+    if cfg.model == "diosi":
+        return DiosiParams(lam=cfg.lam, n_substeps_per_unit_time=cfg.n_substeps,
+                           t_max=cfg.t_max, sample_times=cfg.sample_times)
+    if cfg.model == "hybrid":
+        return HybridParams(lam=cfg.lam, mu=cfg.mu, t_max=cfg.t_max,
+                            sample_times=cfg.sample_times,
+                            deterministic_times=cfg.deterministic_times,
+                            wiener_resolution=cfg.wiener_resolution)
+    if cfg.model == "master":
+        return None
+    raise ConfigError(f"model {cfg.model!r} is not a simulation")
+
+
+_ENSEMBLES = {"grw": grw_ensemble, "diosi": diosi_ensemble, "hybrid": hybrid_ensemble}
+
+
 def run_simulate(cfg, out_dir, workers=None):
     """Run a trajectory or master-equation simulation; returns artifact paths.
 
-    The worker count is resolved first, for every model, so a bad
-    ``workers`` or COLLAPSIM_WORKERS fails before the output directory is made.
+    The worker count, the grid, the initial packet, the Hamiltonian and the
+    model's parameters are all checked first, so a bad value fails before
+    the output directory is made.  ``workers`` caps the engine's threads.
     """
-    workers = worker_count(workers)
+    worker_count(workers)
+    grid = build_grid(cfg)
+    phi0 = build_packet(cfg, grid)
+    h = build_hamiltonian(cfg, grid)
+    params = _model_params(cfg)
     os.makedirs(out_dir, exist_ok=True)
     created = []
     try:
-        grid = build_grid(cfg)
-        phi0 = build_packet(cfg, grid)
-        h = build_hamiltonian(cfg, grid)
         if cfg.model == "master":
             rho0 = DensityMatrix.from_wavefunction(phi0)
             t = cfg.sample_times[-1]
@@ -78,27 +102,8 @@ def run_simulate(cfg, out_dir, workers=None):
             _write_text(path, "".join(lines), created)
             return created
 
-        if cfg.model == "grw":
-            params = GrwParams(mu=cfg.mu, alpha=cfg.alpha, t_max=cfg.t_max,
-                               sample_times=cfg.sample_times)
-            records = grw_ensemble(phi0, h, params, cfg.seed,
-                                   cfg.n_trajectories, workers=workers)
-        elif cfg.model == "diosi":
-            params = DiosiParams(lam=cfg.lam,
-                                 n_substeps_per_unit_time=cfg.n_substeps,
-                                 t_max=cfg.t_max, sample_times=cfg.sample_times)
-            records = diosi_ensemble(phi0, h, params, cfg.seed,
-                                     cfg.n_trajectories)
-        elif cfg.model == "hybrid":
-            params = HybridParams(lam=cfg.lam, mu=cfg.mu, t_max=cfg.t_max,
-                                  sample_times=cfg.sample_times,
-                                  deterministic_times=cfg.deterministic_times,
-                                  wiener_resolution=cfg.wiener_resolution)
-            records = hybrid_ensemble(phi0, h, params, cfg.seed,
-                                      cfg.n_trajectories, workers=workers)
-        else:
-            raise ConfigError(f"model {cfg.model!r} is not a simulation")
-
+        records = _ENSEMBLES[cfg.model](phi0, h, params, cfg.seed, cfg.n_trajectories,
+                                        workers=workers)
         arc_path = os.path.join(out_dir, f"{cfg.model}_archive.cldn")
         archive_mod.write_archive(arc_path, cfg, records)
         created.append(arc_path)
@@ -169,7 +174,9 @@ def _build_parser():
     sim = sub.add_parser("simulate", help="run a simulation from a config file")
     sim.add_argument("--config", required=True)
     sim.add_argument("--output", default=None, help="output directory")
-    sim.add_argument("--workers", type=int, default=None)
+    sim.add_argument("--workers", type=int, default=None,
+                     help="most engine threads to use (default: COLLAPSIM_WORKERS, "
+                          "else every usable core); results do not depend on it")
 
     ver = sub.add_parser("verify", help="run the acceptance criteria")
     ver.add_argument("--config", default=None)

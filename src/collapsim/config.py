@@ -78,12 +78,14 @@ class RunConfig:
                 raise ConfigError(f"deterministic_times: {self.model} runs do not use it")
             if self.wiener_resolution is not None:
                 raise ConfigError(f"wiener_resolution: {self.model} runs do not use it")
-        if self.model == "hybrid" or (self.mu is not None and self.lam is not None):
-            if self.mu is None or self.lam is None:
-                raise ConfigError("hybrid runs need both mu and lambda")
+        derives_alpha = self.model == "hybrid" or (self.mu is not None and self.lam is not None)
+        if derives_alpha or self.model in ("grw", "diosi"):
             for key, value in (("mu", self.mu), ("lambda", self.lam), ("alpha", self.alpha)):
                 if value is not None and not 0.0 < value < math.inf:  # NaN fails too
                     raise ConfigError(f"{key} must be positive and finite, got {value}")
+        if derives_alpha:
+            if self.mu is None or self.lam is None:
+                raise ConfigError("hybrid runs need both mu and lambda")
             derived = 2.0 * self.lam / self.mu
             if self.alpha is None:
                 self.alpha = derived

@@ -4,10 +4,13 @@ The paper's stochastic Trotter formula is an alternating product of
 unitary factors exp(-i tau H) and multiplicative collapse factors.
 ``_trotter_product`` applies it to a batch of trajectories held as an
 (N, n) amplitude array, worked through in row blocks of about 2^14
-amplitudes.  Each row has its own unitary durations tau_r, split into
-ceil(tau_r / cap) equal split steps when V and the kinetic term are both
-present (a substep goes only to the rows that still need it), and its own
-number of factors before each sample time.  The collapse factor is a value
+amplitudes.  Each row has its own unitary durations tau_r, each applied
+exactly by ``grid._unitary_rows`` (the eigenbasis product of the dense H
+when V and the kinetic term are both present, one phase step otherwise),
+and its own number of factors before each sample time.  The Diosi
+process alone shares one duration 1/R between all factors and rows; its
+unitary is one split step with shared phases, the second-order integrator
+of its equation.  The collapse factor is a value
 the spec passes in: it acts in place on the evolved rows of factor k and
 gives back their raw squared norms, which the engine keeps for the
 flashes.  At a sample time a snapshot hook records the raw squared norm
@@ -17,15 +20,17 @@ state and the boundary mass.
 Each spec turns the engine's arrays for one row block into a
 ``records.Trajectories`` (weights (N, T), states (N, T, n), boundary flags,
 and the flashes flattened from the padded (N, K) factor arrays), and the
-blocks and worker slices are joined with ``Trajectories.concat``.  That
+blocks are joined with ``Trajectories.concat``.  That
 type is what every simulation entry point returns and what the archive
 stores.
 
 ``_in_blocks`` maps a block function over the row blocks on
-``parallel.engine_threads()`` threads, in contiguous groups of blocks;
-numpy and the FFTs release the GIL, so the blocks of one call run on
-both cores of a 2-core machine.  A block does array work only: the random
-draws a block reads are made before the blocks (the jump schedules, the
+``parallel.engine_threads(workers)`` threads, in contiguous groups of
+blocks; numpy, the FFTs and the GEMMs release the GIL, so the blocks of
+one call run on both cores of a 2-core machine.  There is no process
+pool: every ensemble is one engine call in the caller's process.  A
+block does array work only: the random draws a block reads are made
+before the blocks (the jump schedules, the
 hybrid's flow increments, the GRW flash uniforms and normals), except
 that a Diosi block reads its Wiener cells chunk by chunk from a
 ``rng.WienerRows`` of its own, whose key cache is not shared between
@@ -40,9 +45,10 @@ The row operations themselves are defined once, in ``grid``:
 (the GRW hit adds ``_hit_rows``).  The single-state propagators there are
 the same operations on a batch of one.  This module holds the engine, the
 jump clock and the fetching of Wiener increments.  Every operation
-acts row by row (elementwise products, FFTs along the last axis, per-row
-sums and per-row random streams), so a row's bytes do not depend on its
-batch or its block, and a single trajectory is a batch of one.
+acts row by row (elementwise products, FFTs along the last axis, GEMMs
+whose rows are the batch's rows, per-row sums and per-row random
+streams), so a row's bytes do not depend on its batch or its block, and a
+single trajectory is a batch of one.
 
 Three processes are thin specs over the engine.  The two jump processes
 share one clock, ``_jump_schedule``, as in the paper: Exp(1) waits X_k,
@@ -95,10 +101,8 @@ from .grid import (
     _normalize_rows,
     _require_positive,
     _split_phases,
-    _substep_cap,
     _unitary_rows,
     _validate_sample_times,
-    _validate_substep,
 )
 from .records import Trajectories
 
@@ -169,13 +173,11 @@ class HybridParams:
     sample_times: tuple = ()
     deterministic_times: bool = False
     wiener_resolution: float = None
-    unitary_substep: float = None
 
     def __post_init__(self):
         _require_positive(lam=self.lam, mu=self.mu, t_max=self.t_max)
         if self.wiener_resolution is not None:
             rngmod.coarse_ratio(self.wiener_resolution, self.mu)
-        _validate_substep(self.unitary_substep)
         object.__setattr__(
             self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
 
@@ -209,12 +211,13 @@ def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
     return flow
 
 
-def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
+def _trotter_product(phi0, h, factor, counts, tau, residual=None,
                      store_states=True, flash_norms=False):
     """The Trotter product on one row block of copies of phi0, which must be normalized.
 
     Row r applies factors k = 0, 1, ...: the unitary of duration tau (a
-    float for every factor of every row, else ``tau[r, k]``) and then the
+    float for every factor of every row, taken as one split step with
+    shared phases; else ``tau[r, k]``, exactly) and then the
     collapse factor ``factor(amps, act, k)``, which acts in place on the
     evolved rows ``act`` of the block (a slice or an index array) and
     returns their raw squared norms, recorded when ``flash_norms``.
@@ -248,7 +251,7 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
         lockstep = done.min() == done.max() and target.min() == target.max()
         for k in range(int(done.min()), int(target.max())):
             act = slice(None) if lockstep else np.flatnonzero((done <= k) & (k < target))
-            sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k], cap, phases)
+            sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k], phases)
             got = factor(sub, act, k)
             if flash_norms:
                 norms[act, k] = got
@@ -260,7 +263,7 @@ def _trotter_product(phi0, h, factor, counts, tau, residual=None, cap=None,
         weights[:, j] = _norm2_rows(amps, dx)
         if residual is not None and not store_states:
             continue
-        snap = amps if residual is None else _unitary_rows(amps.copy(), h, residual[:, j], cap)
+        snap = amps if residual is None else _unitary_rows(amps.copy(), h, residual[:, j])
         flags[:, j] = _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
         if store_states:
             _normalize_rows(snap, _norm2_rows(snap, dx), out=states[:, j])
@@ -273,11 +276,11 @@ def _row_blocks(n_rows, n_points):
     return [(lo, min(n_rows, lo + size)) for lo in range(0, max(n_rows, 1), size)]
 
 
-def _in_blocks(n_rows, n_points, block):
+def _in_blocks(n_rows, n_points, block, workers=None):
     """[block(lo, hi) for each row block (lo, hi) of _row_blocks], on the engine threads.
 
     The blocks are split into contiguous groups, one per thread of
-    ``parallel.engine_threads()``; the caller's thread runs the first group
+    ``parallel.engine_threads(workers)``; the caller's thread runs the first group
     and the results come back in block order.  ``block`` must do array work
     only, its random draws made before the call or on a generator of its
     own.  A group stops at its first error; once every thread has finished,
@@ -285,7 +288,7 @@ def _in_blocks(n_rows, n_points, block):
     would raise.
     """
     spans = _row_blocks(n_rows, n_points)
-    n_groups = min(parallel.engine_threads(), len(spans))
+    n_groups = min(parallel.engine_threads(workers), len(spans))
     bounds = [len(spans) * g // n_groups for g in range(n_groups + 1)]
     results = [None] * len(spans)
     errors = [None] * n_groups
@@ -389,7 +392,7 @@ def _jump_schedule(seed, indices, mu, times, horizon, deterministic):
     return jump_times[:, :k], waits[:, :k] * dt_cell, counts, np.maximum(0.0, times - last)
 
 
-def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
+def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, workers=None):
     """Hybrid spec: the Trajectories of indices lo .. hi-1, one engine call.
 
     The jump schedule of ``_jump_schedule`` up to the last sample time,
@@ -422,19 +425,18 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi):
             dxis[rows, :n] = rngmod.coarse_sums(
                 wiener.fill(rows, 0, np.empty((rows.size, n * ratio))), ratio)
     centers = (p.mu / (2.0 * math.sqrt(p.lam))) * dxis
-    cap = _substep_cap(p.unitary_substep)
 
     def block(b0, b1):
         flow = _flow_factor(phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[b0:b1, k0:k1],
                             n_factors, b1 - b0, norms=True)
         weights, states, flags, norms = _trotter_product(
-            phi0, h, flow, counts[b0:b1], taus[b0:b1], residual[b0:b1], cap,
+            phi0, h, flow, counts[b0:b1], taus[b0:b1], residual[b0:b1],
             store_states=store_states, flash_norms=True)
         return Trajectories(seed, phi0.grid, p.sample_times, indices[b0:b1], weights, states,
                             flags.any(axis=1), *_flat_flashes(
                                 n_flashes[b0:b1], jump_times[b0:b1], centers[b0:b1], norms))
 
-    return Trajectories.concat(_in_blocks(n_rows, phi0.grid.n_points, block))
+    return Trajectories.concat(_in_blocks(n_rows, phi0.grid.n_points, block, workers))
 
 
 def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
@@ -448,7 +450,7 @@ def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
 
 
 def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
-                   first_index=0):
+                   first_index=0, workers=None):
     """Batch-integrated ensemble of diffusion trajectories, as a Trajectories.
 
     Every factor lasts 1/R and flows over Wiener cell k at resolution R.
@@ -457,7 +459,8 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     flags and no flashes.  Row i flows over exactly its own Wiener cells
     at resolution R (the rng layout), so single-trajectory and batched
     runs coincide bit for bit.  The boundary flag is computed from the
-    batch amplitudes, so weights-only runs carry it too.
+    batch amplitudes, so weights-only runs carry it too.  ``workers`` caps
+    the engine's threads (``parallel.engine_threads``).
     """
     res = p.n_substeps_per_unit_time
     dt = 1.0 / res
@@ -476,7 +479,7 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
         return Trajectories(seed, phi0.grid, p.sample_times, indices[lo:hi], weights, states,
                             flags.any(axis=1))
 
-    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block))
+    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block, workers))
 
 
 def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True):
@@ -500,8 +503,6 @@ def hybrid_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
                     workers=None):
     """Independent hybrid trajectories with indices 0 .. n-1, as one Trajectories.
 
-    Each worker runs the engine once over a contiguous slice of the
-    indices; weights-only runs are cheap and stay in-process.
+    One engine call; ``workers`` caps its threads (``parallel.engine_threads``).
     """
-    return parallel.run_sliced(_hybrid_records, (phi0, h, p, seed, store_states),
-                               n_trajectories, workers if store_states else 1)
+    return _hybrid_records(phi0, h, p, seed, store_states, 0, int(n_trajectories), workers)

@@ -1,29 +1,43 @@
 """Wavefunctions on a uniform 1-D grid and the row operations of the Trotter product.
 
 This module provides the discretized Hilbert space shared by the jump and
-diffusion collapse models: Gaussian packets, the split-step spectral
-Schrodinger propagator, the raw Gaussian hit multiplication, and the exact
-Gaussian collapse flow exp(sqrt(lambda) x dxi - lambda x^2 dt).
+diffusion collapse models: Gaussian packets, the discrete Hamiltonian
+(``kinetic_matrix``, ``hamiltonian_matrix``), the split-step spectral
+Schrodinger propagator, the exact unitary, the raw Gaussian hit
+multiplication, and the exact Gaussian collapse flow
+exp(sqrt(lambda) x dxi - lambda x^2 dt).
 
 Each operation is defined once, on (rows, n) amplitude arrays: the squared
-norms ``_norm2_rows``, the unitary ``_unitary_rows`` (composed split steps
-with per-row durations), the flow ``_flow_rows`` with its overflow guard,
-the hit ``_hit_rows`` and ``_normalize_rows`` with its vanishing-state
-check.  The Trotter engine in ``diosi`` applies them to its row blocks.
-The single-state functions (``schrodinger_step``, ``evolve_unitary``,
+norms ``_norm2_rows``, the unitary ``_unitary_rows`` (exp(-i tau_r H) with
+per-row durations), the flow ``_flow_rows`` with its overflow guard, the
+hit ``_hit_rows`` and ``_normalize_rows`` with its vanishing-state check.
+The Trotter engine in ``diosi`` applies them to its row blocks.  The
+single-state functions (``schrodinger_step``, ``evolve_unitary``,
 ``collapse_flow``, ``gaussian_hit``, ``normalize``, the moments and the
 boundary mass) check their arguments and then call the row operation on
 a batch of one, so the checks that exercise them exercise the engine's
 arithmetic.
 
-The split step ``_apply_split_step`` works in place: the phase products
-write into the rows, and numpy.fft writes its transforms back into them
-(the same bits as scipy.fft on the engine's shapes), so a step allocates
-nothing.  The per-row phasors exp(-i dt V / 2) and exp(-i dt k^2 / 2) of
-``_unitary_rows`` are formed by ``_phasors`` as cos and sin written into
-the real and imaginary parts of one complex array, bit for bit the
-complex exponentials; k^2 is exactly mirror-even on the FFT grid, so the
-kinetic phasor is computed on the half spectrum and mirrored.
+The unitary with per-row durations is exact.  When H has one term (V = 0,
+or no kinetic term) it is one phase step, ``_split_rows``.  When it has
+both, it is the eigenbasis product W diag(exp(-i tau_r E)) W^T of
+``_eigen_rows``, with (E, W) the eigensystem of the dense
+``hamiltonian_matrix`` that the master equation also integrates, computed
+once per HamiltonianSpec: two real GEMMs per call whatever the durations.
+W and W^T take 2 n^2 floats (4.2 MB at n = 512, 67 MB at n = 2048).  A row's bytes
+do not depend on its batch: the GEMMs run on C-contiguous stacks of at
+least _MIN_GEMM_ROWS real rows.
+
+The split step ``_apply_split_step`` is the Diosi integrator's unitary, at
+the shared duration 1/R, and ``schrodinger_step``.  It works in place: the
+phase products write into the rows, and numpy.fft writes its transforms
+back into them (the same bits as scipy.fft on the engine's shapes), so a
+step allocates nothing.  The per-row phasors exp(-i dt V / 2) and
+exp(-i dt k^2 / 2) of ``_split_rows`` are formed by ``_phasors`` as cos
+and sin written into the real and imaginary parts of one complex array,
+bit for bit the complex exponentials; k^2 is exactly mirror-even on the
+FFT grid, so the kinetic phasor is computed on the half spectrum and
+mirrored.
 
 Conventions: hbar = 1, mass = 1, H = -1/2 d^2/dx^2 + V(x) with V bounded.
 Boundary conditions are periodic (spectral propagator); quadrature is the
@@ -33,6 +47,7 @@ The single-state functions are pure: state in, new state out.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,8 +68,8 @@ NORMALIZED = "normalized"
 # Largest exponent handed to np.exp inside the collapse flow before raising.
 _EXP_OVERFLOW_LIMIT = 700.0
 
-# Default cap on the duration of a single split step when V != 0.
-DEFAULT_UNITARY_SUBSTEP = 1.0 / 128.0
+# Fewest rows of a real GEMM in _eigen_rows (see there).
+_MIN_GEMM_ROWS = 4
 
 # Boundary mass above which a trajectory is flagged (see boundary_mass).
 BOUNDARY_MASS_LIMIT = 1e-6
@@ -66,16 +81,6 @@ def _require_positive(**values):
         if not (0 < value < math.inf):
             raise InvalidParameterError(
                 f"{name} must be positive and finite, got {value!r}")
-
-
-def _validate_substep(unitary_substep):
-    if unitary_substep is not None:
-        _require_positive(unitary_substep=unitary_substep)
-
-
-def _substep_cap(unitary_substep):
-    """The split-step cap of a process: its unitary_substep, else the default."""
-    return DEFAULT_UNITARY_SUBSTEP if unitary_substep is None else float(unitary_substep)
 
 
 def _validate_sample_times(sample_times, t_max):
@@ -182,6 +187,48 @@ class HamiltonianSpec:
     def zero(cls, grid):
         """H = 0: no kinetic term, no potential."""
         return cls(grid, np.zeros(grid.n_points), kinetic=False)
+
+
+def kinetic_matrix(grid):
+    """Dense real matrix of T = -1/2 Laplacian on the grid (spectral).
+
+    Built from the same Fourier multiplier the split step uses, so the
+    trajectory engine and the master equation share one discrete
+    Hamiltonian.  k^2 is even on the FFT grid, so T is a real symmetric
+    circulant: the imaginary part of the transform is roundoff and is
+    dropped.
+    """
+    n = grid.n_points
+    mat = scipy.fft.ifft(
+        (0.5 * grid.k**2)[:, None] * scipy.fft.fft(np.eye(n, dtype=np.complex128), axis=0),
+        axis=0).real
+    return 0.5 * (mat + mat.T)  # symmetrize roundoff
+
+
+def hamiltonian_matrix(h):
+    """Dense complex matrix of H = -1/2 Laplacian + V on the grid."""
+    n = h.grid.n_points
+    mat = kinetic_matrix(h.grid) if h.kinetic else np.zeros((n, n))
+    return (mat + np.diag(h.potential)).astype(np.complex128)
+
+
+_EIGENBASIS_LOCK = threading.Lock()
+
+
+def _eigenbasis(h):
+    """(E, W, W^T): the eigenvalues and orthonormal eigenvectors of the real
+    symmetric hamiltonian_matrix(h), computed once per spec.
+
+    W and W^T are both kept C-contiguous: a transposed right operand sends
+    products of a few rows to other OpenBLAS kernels, whose sums differ in
+    the last bits from those of the same rows in a larger product.  The
+    lock makes the engine threads share the first result.
+    """
+    with _EIGENBASIS_LOCK:
+        if "_eigenbasis" not in h.__dict__:
+            e, w = np.linalg.eigh(hamiltonian_matrix(h).real)
+            h.__dict__["_eigenbasis"] = (e, np.ascontiguousarray(w), np.ascontiguousarray(w.T))
+    return h.__dict__["_eigenbasis"]
 
 
 def cosine_potential(grid, amplitude=0.5, wavenumber=1.0):
@@ -325,41 +372,65 @@ def _phasors(scale, values, even=False):
     return out
 
 
-def _unitary_rows(amps, h, tau, cap, phases=None):
-    """exp(-i tau_r H) on row r of amps, as composed split steps.
+def _split_rows(amps, h, tau):
+    """One split step exp(-i tau_r V/2) exp(-i tau_r T) exp(-i tau_r V/2) on row r, in place.
+
+    The per-row phasors come from ``_phasors``; a potential-only H takes
+    two half phases.  Exact when H has one term.
+    """
+    exp_v = None if h.potential_is_zero else _phasors(tau, h.potential)
+    exp_t = _phasors(tau, h.grid.k2, even=True) if h.kinetic else None
+    _apply_split_step(amps, exp_v, exp_t)
+    return amps
+
+
+def _eigen_rows(amps, h, tau):
+    """exp(-i tau_r H) on row r exactly, as W diag(exp(-i tau_r E)) W^T psi_r with
+    (E, W, W^T) = ``_eigenbasis(h)``.
+
+    Both products are real GEMMs on the (2m, n) stack of the real parts
+    above the imaginary parts, never complex products: numpy hands a
+    one-row complex product to GEMV, whose sums differ in the last bits
+    from those of a row inside a larger product.  The stack has at least
+    _MIN_GEMM_ROWS rows (zero rows pad a batch of one) for the same
+    reason: OpenBLAS sends a product of at most 10^6 multiply-adds to a
+    small-matrix kernel on AVX-512 machines, which at n = 512 sums in
+    another order than the blocked kernel that a larger batch takes.
+    """
+    e, w, wt = _eigenbasis(h)
+    m, n = amps.shape
+    stack = np.zeros((max(2 * m, _MIN_GEMM_ROWS), n))
+    stack[:m], stack[m:2 * m] = amps.real, amps.imag
+    coef = stack @ w
+    theta = (-tau)[:, None] * e
+    cos, sin = np.cos(theta), np.sin(theta)
+    re, im = coef[:m], coef[m:2 * m]
+    stack[:m], stack[m:2 * m] = re * cos - im * sin, re * sin + im * cos
+    out = stack @ wt
+    amps.real, amps.imag = out[:m], out[m:2 * m]
+    return amps
+
+
+def _unitary_rows(amps, h, tau, phases=None):
+    """exp(-i tau H) on the rows of amps; returns the evolved array.
 
     ``tau`` is either a float, for one split step of every row with the
-    precomputed ``phases``, or an array of per-row durations.  With an
-    array, a row with tau_r = 0 is left as it is; row r takes
-    ceil(tau_r / cap) equal split steps when V and the kinetic term are
-    both present and cap is not None, and one step otherwise (exact when
-    either term is absent).  A step is exp(-i dt V/2) exp(-i dt T)
-    exp(-i dt V/2), so a potential-only H takes two half phases.  The
-    per-row phasors come from ``_phasors``.  Rows of ``amps`` may be
-    overwritten; returns the evolved array.
+    precomputed ``phases`` (``_split_phases``), or an array of per-row
+    durations, applied exactly: one split step when H has one term, else
+    ``_eigen_rows``.  A row with tau_r = 0 is left as it is.  Rows of
+    ``amps`` may be overwritten.
     """
     if h.is_zero:
         return amps
     if phases is not None:
         _apply_split_step(amps, *phases)
         return amps
+    exact = _split_rows if h.potential_is_zero or not h.kinetic else _eigen_rows
     live = np.flatnonzero(tau > 0)
-    t = tau[live]
-    if cap is None or h.potential_is_zero or not h.kinetic:
-        steps = np.ones(live.size, dtype=np.int64)
-    else:
-        steps = np.maximum(1, np.ceil(t / cap - 1e-12)).astype(np.int64)
-    # rows needing the most substeps first: those still needing one are a prefix
-    order = np.argsort(-steps, kind="stable")
-    live, t, steps = live[order], t[order], steps[order]
-    dt = t / steps
-    exp_v = None if h.potential_is_zero else _phasors(dt, h.potential)
-    exp_t = _phasors(dt, h.grid.k2, even=True) if h.kinetic else None
-    sub = amps[live]
-    for s in range(int(steps.max(initial=0))):
-        m = int(np.count_nonzero(steps > s))
-        _apply_split_step(sub[:m], *(None if e is None else e[:m] for e in (exp_v, exp_t)))
-    amps[live] = sub
+    if live.size == tau.size:
+        return exact(amps, h, tau)
+    if live.size:
+        amps[live] = exact(amps[live], h, tau[live])
     return amps
 
 
@@ -389,8 +460,8 @@ def _flow_rows(amps, grid, lam, dt, dxi, out=None, buf=None):
     return np.multiply(amps, e, out=out)
 
 
-def _evolve_one(psi, h, duration, cap):
-    """_unitary_rows on psi as a batch of one; psi itself when nothing moves."""
+def _evolve_one(psi, h, duration, row_op):
+    """The row operation ``row_op`` on psi as a batch of one; psi itself when nothing moves."""
     if duration < 0:
         raise InvalidParameterError("the duration of a unitary must be nonnegative")
     if psi.grid != h.grid:
@@ -398,7 +469,7 @@ def _evolve_one(psi, h, duration, cap):
     if duration == 0 or h.is_zero:
         return psi
     amps = np.array(psi.amplitudes[None, :], dtype=np.complex128)
-    out = _unitary_rows(amps, h, np.array([float(duration)]), cap)
+    out = row_op(amps, h, np.array([float(duration)]))
     return WaveFunction(psi.grid, out[0], psi.label)
 
 
@@ -408,22 +479,19 @@ def schrodinger_step(psi, h, dt):
     Unitary up to roundoff: the potential phases are diagonal and the
     kinetic phase acts in the Fourier domain, where the DFT preserves the
     rectangle-rule norm.  dt = 0 returns the input unchanged; the local
-    error of a single step is O(dt^3) for bounded V.  This is _unitary_rows
+    error of a single step is O(dt^3) for bounded V.  This is _split_rows
     on a batch of one.
     """
-    return _evolve_one(psi, h, dt, None)
+    return _evolve_one(psi, h, dt, _split_rows)
 
 
-def evolve_unitary(psi, h, duration, max_step=None):
-    """exp(-i duration H) psi, composing split steps no longer than max_step.
+def evolve_unitary(psi, h, duration):
+    """exp(-i duration H) psi, exact at any duration.
 
-    For V = 0 the kinetic phase is exact at any duration, so a single step
-    is used; likewise a pure potential phase.  Only the mixed case is
-    substepped (default cap DEFAULT_UNITARY_SUBSTEP).  This is
-    _unitary_rows on a batch of one, as the engine applies it to a row.
+    This is _unitary_rows on a batch of one, as the engine applies it to a
+    row: one phase step when H has one term, else the eigenbasis product.
     """
-    _validate_substep(max_step)
-    return _evolve_one(psi, h, duration, _substep_cap(max_step))
+    return _evolve_one(psi, h, duration, _unitary_rows)
 
 
 def gaussian_hit(psi, center, alpha):

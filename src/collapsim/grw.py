@@ -10,7 +10,8 @@ the convolution density by construction.
 Trajectories run on ``diosi._trotter_product``, on the jump clock the
 hybrid process also runs on (``diosi._jump_schedule``): Exp(1) waits X_k
 in the rng layout and jump times T_k = X_1 / mu + ... + X_k / mu.
-Factor k is the unitary of duration X_k / mu followed by the hit factor,
+Factor k is the exact unitary of duration X_k / mu (``grid._unitary_rows``)
+followed by the hit factor,
 which draws each row's center from that row's evolved state with the
 row's k-th uniform and k-th normal, multiplies by (alpha/pi)^(1/4)
 exp(-(alpha/2)(x - y)^2)
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from . import rng as rngmod
 from .diosi import _flat_flashes, _in_blocks, _jump_schedule, _trotter_product
 from .errors import DegenerateStateError, InvalidParameterError
@@ -38,9 +38,7 @@ from .grid import (
     _norm2_rows,
     _normalize_rows,
     _require_positive,
-    _substep_cap,
     _validate_sample_times,
-    _validate_substep,
 )
 from .records import Trajectories
 
@@ -53,11 +51,9 @@ class GrwParams:
     alpha: float
     t_max: float
     sample_times: tuple = ()
-    unitary_substep: float = None
 
     def __post_init__(self):
         _require_positive(mu=self.mu, alpha=self.alpha, t_max=self.t_max)
-        _validate_substep(self.unitary_substep)
         object.__setattr__(
             self, "sample_times", _validate_sample_times(self.sample_times, self.t_max))
 
@@ -143,7 +139,8 @@ def _hit_factor(grid, alpha, uniforms, normals):
     return hit, centers, flags
 
 
-def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=False):
+def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=False,
+                 workers=None):
     """The Trajectories of the jump indices lo .. hi-1, in row blocks.
 
     The jumps are those of ``diosi._jump_schedule`` up to t_max (every wait
@@ -167,13 +164,13 @@ def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=Fals
                                               normals[b0:b1])
         _, states, flags, norms = _trotter_product(
             phi0, h, hit, counts[b0:b1], taus[b0:b1], residual[b0:b1],
-            _substep_cap(p.unitary_substep), store_states=store_states, flash_norms=True)
+            store_states=store_states, flash_norms=True)
         return Trajectories(seed, phi0.grid, times, indices[b0:b1], np.ones((b1 - b0, n_times)),
                             states if states is None else states[:, :n_times],
                             flags[:, :n_times].any(axis=1) | hit_flags,
                             *_flat_flashes(counts[b0:b1, -1], jump_times[b0:b1], centers, norms))
 
-    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block))
+    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block, workers))
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):
@@ -190,6 +187,8 @@ def grw_trajectory(phi0, h, p, seed, index=0):
 
 
 def grw_ensemble(phi0, h, p, seed, n_trajectories, workers=None):
-    """Independent trajectories with indices 0 .. n-1, as one Trajectories; one
-    engine call per worker."""
-    return parallel.run_sliced(_grw_records, (phi0, h, p, seed), n_trajectories, workers)
+    """Independent trajectories with indices 0 .. n-1, as one Trajectories.
+
+    One engine call; ``workers`` caps its threads (``parallel.engine_threads``).
+    """
+    return _grw_records(phi0, h, p, seed, 0, int(n_trajectories), workers=workers)

@@ -32,10 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridMismatchError, InvalidParameterError, StepTooLargeError
-from .grid import _require_positive
+from .grid import _require_positive, hamiltonian_matrix
 
 MAX_MASTER_POINTS = 128
 
@@ -77,28 +76,6 @@ class DensityMatrix:
     def min_eigenvalue(self):
         sym = 0.5 * (self.entries + self.entries.conj().T)
         return float(np.linalg.eigvalsh(sym)[0]) * self.grid.dx
-
-
-def kinetic_matrix(grid):
-    """Dense real matrix of T = -1/2 Laplacian on the grid (spectral).
-
-    Built from the same Fourier multiplier the split-step propagator uses,
-    so trajectory and master evolutions share one discrete Hamiltonian.
-    k^2 is even on the FFT grid, so T is a real symmetric circulant: the
-    imaginary part of the transform is roundoff and is dropped.
-    """
-    n = grid.n_points
-    mat = scipy.fft.ifft(
-        (0.5 * grid.k**2)[:, None] * scipy.fft.fft(np.eye(n, dtype=np.complex128), axis=0),
-        axis=0).real
-    return 0.5 * (mat + mat.T)  # symmetrize roundoff
-
-
-def hamiltonian_matrix(h):
-    """Dense complex matrix of H = -1/2 Laplacian + V on the grid."""
-    n = h.grid.n_points
-    mat = kinetic_matrix(h.grid) if h.kinetic else np.zeros((n, n))
-    return (mat + np.diag(h.potential)).astype(np.complex128)
 
 
 def grw_decoherence_rates(grid, mu, alpha):

@@ -297,8 +297,7 @@ def check_norm_martingale(phi0, h, params, n_samples, seed, weight_bias=0.0,
 
 
 def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
-                          seed, reference_substeps=4096, reference_lam=None,
-                          unitary_substep=None):
+                          seed, reference_substeps=4096, reference_lam=None):
     """Scaling-limit convergence of the hybrid process toward the diffusion.
 
     Couples the hybrid process at each mesh mu to the reference with
@@ -349,9 +348,8 @@ def check_fdd_convergence(phi0, h, lam, mu_list, t_list, functional, n_samples,
     abs_devs = []
     for mu in mu_list:
         p_mu = HybridParams(lam=lam, mu=mu, t_max=t_list[-1], sample_times=t_list,
-                            wiener_resolution=reference_substeps,
-                            unitary_substep=unitary_substep)
-        batch = hybrid_ensemble(phi0, h, p_mu, seed, n_samples, workers=1)
+                            wiener_resolution=reference_substeps)
+        batch = hybrid_ensemble(phi0, h, p_mu, seed, n_samples)
         wts = batch.weights[:, -1]
         wf = wts * functional.values(batch.states, phi0.grid)
         abs_dev = np.abs(wf - wf_ref)

@@ -24,3 +24,13 @@ def test_acceptance_criterion(num, name, fn):
     budget = acceptance.BUDGET_SECONDS[num]
     assert runtime <= budget, (
         f"criterion {num} took {runtime:.1f}s, over its {budget}s budget")
+
+
+def test_splitting_order_subcheck_is_pinned():
+    # c7 composes schrodinger_step; these are the errors and the slope of the
+    # substepped evolve_unitary it replaced, the same phasors and steps
+    details = acceptance.criterion_7(acceptance.DEFAULT_SEED).details
+    assert details["splitting_errors"] == pytest.approx(
+        [4.413298548886061e-05, 1.1034935035109684e-05, 2.758839276697113e-06,
+         6.897164150891452e-07], rel=1e-9)
+    assert details["splitting_order"] == pytest.approx(1.9999075516482112, rel=1e-12)

@@ -172,7 +172,24 @@ class TestConfig:
         assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and key.split("_")[-1] in err
-        assert not os.path.exists(out) or os.listdir(out) == []
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("cfg, line, error", [
+        pytest.param(DIOSI_CFG, "n_substeps = 0", "InvalidParameterError", id="diosi-n_substeps"),
+        pytest.param(GRW_CFG, "packet_sigma = 0.01", "GridTooSmallError", id="grw-packet_sigma"),
+        pytest.param(GRW_CFG, "t_max = 0", "InvalidParameterError", id="grw-t_max")])
+    def test_bad_model_parameter_fails_before_output(self, tmp_path, capsys, cfg, line, error):
+        # values only the grid, the packet or the model's parameters reject
+        key = line.split()[0]
+        text = "\n".join(row for row in cfg.splitlines()
+                         if row.split("=")[0].strip() not in (key, "sample_times")) + (
+            f"\n{line}\nsample_times = 0\n")
+        cfg_path = os.path.join(tmp_path, "bad.cfg")
+        open(cfg_path, "w").write(text)
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+        assert not os.path.exists(out)
 
     def test_bool_parsing(self):
         cfg = RunConfig.from_text(HYBRID_CFG + "deterministic_times = yes\n")
@@ -180,12 +197,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_text(HYBRID_CFG + "kinetic = maybe\n")
 
-    @pytest.mark.parametrize("key, value", [
-        ("mu", "0"), ("mu", "-8"), ("mu", "nan"), ("mu", "inf"), ("lambda", "-1"),
-        ("alpha", "0")])
-    def test_bad_rate_fails_before_output(self, tmp_path, capsys, key, value):
-        # checked before alpha is derived from mu and lambda
-        text = "\n".join(line for line in HYBRID_CFG.splitlines()
+    @pytest.mark.parametrize("cfg, key, value", [
+        pytest.param(HYBRID_CFG, key, value, id=f"{key}-{value}") for key, value in (
+            ("mu", "0"), ("mu", "-8"), ("mu", "nan"), ("mu", "inf"), ("lambda", "-1"),
+            ("alpha", "0"))
+    ] + [
+        pytest.param(cfg, key, value, id=f"{name}-{key}-{value}")
+        for name, cfg, key, value in (
+            ("grw", GRW_CFG, "mu", "0"), ("grw", GRW_CFG, "mu", "nan"),
+            ("grw", GRW_CFG, "alpha", "-0.5"), ("grw", GRW_CFG, "alpha", "inf"),
+            ("diosi", DIOSI_CFG, "lambda", "0"), ("diosi", DIOSI_CFG, "lambda", "nan"))
+    ])
+    def test_bad_rate_fails_before_output(self, tmp_path, capsys, cfg, key, value):
+        # for the hybrid, checked before alpha is derived from mu and lambda
+        text = "\n".join(line for line in cfg.splitlines()
                          if line.split("=")[0].strip() != key) + f"\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_text(text)

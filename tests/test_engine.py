@@ -1,9 +1,12 @@
-"""The batched Trotter-product engine: batch rows against single runs and
-against a literal composition of the grid propagators for all three
-processes, fail-closed parameters, and the boundary flag of weights-only
-runs."""
+"""The batched Trotter-product engine: batch rows against single runs, against
+a literal composition of the grid propagators for all three processes and
+against scipy's matrix exponential; row bytes across batches, blocks, engine
+threads and BLAS threads; fail-closed parameters, and the boundary flag of
+weights-only runs."""
 
-import math
+import hashlib
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -31,14 +35,18 @@ from collapsim import (
     make_gaussian_packet,
     sample_flash_center,
 )
+import collapsim
 from collapsim import diosi, parallel
 from collapsim.errors import DegenerateStateError, InvalidParameterError, StepTooLargeError
 from collapsim.grid import (
     BOUNDARY_MASS_LIMIT,
     CollapseSpec,
+    WaveFunction,
     boundary_mass,
     collapse_flow,
+    _unitary_rows,
     cosine_potential,
+    hamiltonian_matrix,
     norm2,
     normalize,
 )
@@ -84,12 +92,12 @@ def test_batch_row_is_batch_of_one(seed, first, n, block_rows, h_name, packet,
     phi, h = PACKETS[packet], HAMILTONIANS[h_name]
     times = (0.0, 0.125, 0.25)
     hp = HybridParams(1.0, mu, 0.25, times, deterministic_times=deterministic,
-                      wiener_resolution=64.0, unitary_substep=1.0 / 32.0)
+                      wiener_resolution=64.0)
     dp = DiosiParams(1.0, 64, 0.25, times)
     # GRW at lam = 1 (alpha = 2 lam / mu), with jumps after the last sample time
-    gp = GrwParams(mu, 2.0 / mu, 0.3, times, unitary_substep=1.0 / 32.0)
+    gp = GrwParams(mu, 2.0 / mu, 0.3, times)
     with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
-            mock.patch.object(parallel, "engine_threads", lambda: threads):
+            mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
         hyb = hybrid_ensemble(phi, h, hp, seed, n, store_states=store_states,
                               workers=workers)
         dio = diosi_ensemble(phi, h, dp, seed, n, store_states=store_states,
@@ -124,16 +132,94 @@ FIELDS = ("indices", "weights", "states", "boundary_flags", "flash_times", "flas
           "flash_norms", "n_flashes")
 
 
+def _array_hash(traj):
+    return hashlib.sha256(b"".join(
+        getattr(traj, name).tobytes() for name in FIELDS if getattr(traj, name) is not None
+    )).hexdigest()
+
+
+COS_GRID = Grid(128, -16.0, 16.0)
+COS_PHI = make_gaussian_packet(COS_GRID, 0.0, 1.0)
+COS_H = HamiltonianSpec(COS_GRID, cosine_potential(COS_GRID, 0.5))
+COS_RUNS = {
+    "grw": (lambda n: grw_ensemble(COS_PHI, COS_H, GrwParams(4.0, 0.5, 0.5, (0.125, 0.5)), 81, n),
+            lambda i: grw_trajectory(COS_PHI, COS_H, GrwParams(4.0, 0.5, 0.5, (0.125, 0.5)), 81,
+                                     index=i)),
+    "hybrid": (lambda n: hybrid_ensemble(COS_PHI, COS_H, HybridParams(1.0, 4.0, 0.5, (0.125, 0.5)),
+                                         82, n),
+               lambda i: hybrid_trajectory(COS_PHI, COS_H,
+                                           HybridParams(1.0, 4.0, 0.5, (0.125, 0.5)), 82, index=i)),
+}
+COS_BLOCK_ROWS = diosi._BLOCK_AMPLITUDES // COS_GRID.n_points
+
+
+@pytest.mark.parametrize("process", sorted(COS_RUNS))
+@pytest.mark.parametrize("n", [1, 2, 3, COS_BLOCK_ROWS - 1, COS_BLOCK_ROWS + 1])
+def test_cos_rows_do_not_depend_on_batch_block_or_threads(process, n):
+    # under a two-term H every unitary is the eigenbasis product: a row's bytes
+    # are those of its batch of one, at the real block size and on 1 or 2 threads
+    ensemble, single = COS_RUNS[process]
+    runs = []
+    for threads in (1, 2):
+        with mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
+            runs.append(ensemble(n))
+    one, two = runs
+    assert _array_hash(one) == _array_hash(two)
+    for i in sorted({0, 1, n - 2, n - 1} & set(range(n))):
+        assert_same_record(one[i], single(i))
+
+
+@pytest.mark.parametrize("n_points", [128, 512])
+def test_eigenbasis_rows_do_not_depend_on_the_batch(n_points):
+    # batches of 1 to 5 rows at several offsets against one 40-row batch; at
+    # n 512 a product of fewer than 4 stacked rows would take another kernel
+    grid = Grid(n_points, -16.0, 16.0)
+    h = HamiltonianSpec(grid, cosine_potential(grid, 0.5))
+    rng = np.random.default_rng(n_points)
+    amps = rng.standard_normal((40, n_points)) + 1j * rng.standard_normal((40, n_points))
+    tau = rng.uniform(0.01, 1.0, 40)
+    whole = _unitary_rows(amps.copy(), h, tau)
+    for m in range(1, 6):
+        for lo in (0, 7, 40 - m):
+            got = _unitary_rows(amps[lo:lo + m].copy(), h, tau[lo:lo + m])
+            assert got.tobytes() == whole[lo:lo + m].tobytes(), (m, lo)
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib
+from collapsim import (Grid, GrwParams, HamiltonianSpec, HybridParams, grw_ensemble,
+                       hybrid_ensemble, make_gaussian_packet)
+from collapsim.grid import cosine_potential
+g = Grid(128, -16.0, 16.0)
+phi, h = make_gaussian_packet(g, 0.0, 1.0), HamiltonianSpec(g, cosine_potential(g, 0.5))
+for t in (grw_ensemble(phi, h, GrwParams(4.0, 0.5, 0.5, (0.25, 0.5)), 83, 300),
+          hybrid_ensemble(phi, h, HybridParams(1.0, 4.0, 0.5, (0.25, 0.5)), 84, 300)):
+    print(hashlib.sha256(t.states.tobytes() + t.flash_norms.tobytes()
+                         + t.flash_centers.tobytes() + t.weights.tobytes()).hexdigest())
+"""
+
+
+def test_ensemble_bytes_do_not_depend_on_the_blas_threads():
+    src = os.path.dirname(os.path.dirname(collapsim.__file__))
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out[threads] = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                                      check=True, capture_output=True, text=True).stdout
+    assert len(out["1"].split()) == 2 and out["1"] == out["2"]
+
+
 def run_on_threads(threads, block_rows, run):
     with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
-            mock.patch.object(parallel, "engine_threads", lambda: threads):
+            mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
         return run()
 
 
 ENSEMBLES = {
     "grw": lambda n, store, workers: grw_ensemble(
         PACKETS["edge"], HAMILTONIANS["cos"],
-        GrwParams(8.0, 0.25, 0.3, (0.125, 0.25), unitary_substep=1.0 / 32.0), 71, n,
+        GrwParams(8.0, 0.25, 0.3, (0.125, 0.25)), 71, n,
         workers=workers),
     "diosi": lambda n, store, workers: diosi_ensemble(
         PACKETS["edge"], HAMILTONIANS["cos"], DiosiParams(1.0, 64, 0.25, (0.125, 0.25)), 72, n,
@@ -186,7 +272,7 @@ def test_diosi_blocks_draw_on_generators_of_their_own():
 def test_blocks_come_back_in_order_on_every_thread_count():
     for threads in (1, 2, 3, 8):
         with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", 2 * GRID.n_points), \
-                mock.patch.object(parallel, "engine_threads", lambda: threads):
+                mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
             assert diosi._in_blocks(11, GRID.n_points, lambda lo, hi: (lo, hi)) == [
                 (0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11)]
 
@@ -206,7 +292,7 @@ def test_the_lowest_failing_block_raises_after_every_thread_ends():
     before = threading.active_count()
     for threads in (1, 2, 3, 6):
         with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", GRID.n_points), \
-                mock.patch.object(parallel, "engine_threads", lambda: threads):
+                mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
             with pytest.raises(DegenerateStateError, match="block 2"):
                 diosi._in_blocks(6, GRID.n_points, block)
         assert threading.active_count() == before
@@ -261,50 +347,64 @@ def test_diosi_wiener_chunks_ending_inside_blocks(chunk_elements):
         assert rec.weights[-1] == pytest.approx(want, rel=1e-9)
 
 
-def test_engine_matches_literal_composition_with_substeps():
-    # each row rebuilt by evolve_unitary and collapse_flow, one factor at a time
+def _expm_unitary(psi, h, tau):
+    """exp(-i tau H) psi through scipy's dense matrix exponential."""
+    u = scipy.linalg.expm(-1j * tau * hamiltonian_matrix(h))
+    return WaveFunction(psi.grid, u @ psi.amplitudes, psi.label)
+
+
+# the engine's own single-state unitary, and an oracle apart from it
+UNITARIES = {"evolve_unitary": evolve_unitary, "expm": _expm_unitary}
+
+
+@pytest.mark.parametrize("unitary", sorted(UNITARIES))
+def test_engine_matches_literal_composition(unitary):
+    # each row rebuilt one factor at a time from a unitary and collapse_flow,
+    # the snapshots through the residual unitary from the last factor
+    evolve = UNITARIES[unitary]
     grid = Grid(128, -16.0, 16.0)
     phi = make_gaussian_packet(grid, 0.0, 1.0)
     h = HamiltonianSpec(grid, cosine_potential(grid, 0.5))
-    lam, mu, cap, seed = 1.0, 4.0, 1.0 / 64.0, 62
+    lam, mu, seed = 1.0, 4.0, 62
     times = (0.3, 0.7)
-    p = HybridParams(lam, mu, 0.7, times, unitary_substep=cap)
+    p = HybridParams(lam, mu, 0.7, times)
     recs = hybrid_ensemble(phi, h, p, seed, 6)
     c = CollapseSpec(lam)
-    substeps = 0
+    residuals = []
     for i, rec in enumerate(recs):
         xs = waits(seed, i, len(rec.flashes) + 1)
         cells = wiener_cells(seed, i, mu, 0, len(rec.flashes))
         state, t_k, k = phi, 0.0, 0
         for j, t in enumerate(times):
             while t_k + xs[k] / mu <= t:
-                substeps += math.ceil(xs[k] / mu / cap)
-                state = evolve_unitary(state, h, xs[k] / mu, max_step=cap)
+                state = evolve(state, h, xs[k] / mu)
                 state = collapse_flow(state, c, cells[k], 1.0 / mu)
                 assert rec.flashes[k].pre_collapse_norm2 == pytest.approx(
                     norm2(state), rel=1e-12)
                 t_k += xs[k] / mu
                 k += 1
             assert rec.weights[j] == pytest.approx(norm2(state), rel=1e-12)
-            snap = normalize(evolve_unitary(state, h, t - t_k, max_step=cap))
+            snap = normalize(evolve(state, h, t - t_k))
             assert np.max(np.abs(snap.amplitudes - rec.states[j].amplitudes)) <= 1e-12
+            residuals.append(t - t_k)
         assert len(rec.flashes) == k
-    assert substeps > 2 * sum(len(r.flashes) for r in recs)  # factors were split
+    assert min(residuals) > 0  # every snapshot took a residual unitary
 
 
-def test_grw_matches_literal_composition_with_substeps():
-    # each row rebuilt jump by jump from the grid propagators and the sampler;
+@pytest.mark.parametrize("unitary", sorted(UNITARIES))
+def test_grw_matches_literal_composition(unitary):
+    # each row rebuilt jump by jump from a unitary, the sampler and the hit;
     # the packet runs towards the edge, so some rows carry the boundary flag
+    evolve = UNITARIES[unitary]
     grid = Grid(128, -16.0, 16.0)
     phi = make_gaussian_packet(grid, 9.0, 1.0, momentum=2.0)
     h = HamiltonianSpec(grid, cosine_potential(grid, 0.5))
-    mu, alpha, cap, seed = 4.0, 0.5, 1.0 / 64.0, 64
+    mu, alpha, seed = 4.0, 0.5, 64
     times = (0.3, 0.7)
-    p = GrwParams(mu, alpha, 1.0, times, unitary_substep=cap)
+    p = GrwParams(mu, alpha, 1.0, times)
     recs = grw_ensemble(phi, h, p, seed, 8)
     # without sample times only the hits can set the flag
-    bare = grw_ensemble(phi, h, GrwParams(mu, alpha, 1.0, unitary_substep=cap), seed, 8)
-    substeps = hits = 0
+    bare = grw_ensemble(phi, h, GrwParams(mu, alpha, 1.0), seed, 8)
     flags, hit_flags = [], []
     for i, rec in enumerate(recs):
         jumps = jump_times(seed, i, mu, 1.0)
@@ -315,21 +415,19 @@ def test_grw_matches_literal_composition_with_substeps():
         masses, hit_masses = [], [0.0]
         for k, t_jump in enumerate(jumps):
             while j < len(times) and times[j] < t_jump:  # snapshots before this jump
-                snap = normalize(evolve_unitary(state, h, times[j] - t_k, max_step=cap))
+                snap = normalize(evolve(state, h, times[j] - t_k))
                 assert np.max(np.abs(snap.amplitudes - rec.states[j].amplitudes)) <= 1e-12
                 masses.append(boundary_mass(snap))
                 j += 1
-            substeps += math.ceil((t_jump - t_k) / cap)
-            state = evolve_unitary(state, h, t_jump - t_k, max_step=cap)
+            state = evolve(state, h, t_jump - t_k)
             y = sample_flash_center(state, alpha, pos, noise)
             assert rec.flashes[k].center == pytest.approx(y, abs=1e-12)
             hit = gaussian_hit(state, y, alpha)
             assert rec.flashes[k].pre_collapse_norm2 == pytest.approx(norm2(hit), rel=1e-12)
             state, t_k = normalize(hit), t_jump
             hit_masses.append(boundary_mass(state))
-            hits += 1
         for j in range(j, len(times)):
-            snap = normalize(evolve_unitary(state, h, times[j] - t_k, max_step=cap))
+            snap = normalize(evolve(state, h, times[j] - t_k))
             assert np.max(np.abs(snap.amplitudes - rec.states[j].amplitudes)) <= 1e-12
             masses.append(boundary_mass(snap))
         assert np.all(rec.weights == 1.0)
@@ -339,7 +437,6 @@ def test_grw_matches_literal_composition_with_substeps():
         assert bare[i].boundary_flag == (max(hit_masses) > BOUNDARY_MASS_LIMIT)
         assert bare[i].flashes == rec.flashes
     assert any(f.time > times[-1] for r in recs for f in r.flashes)  # jumps past the last
-    assert substeps > 2 * hits  # factors were split
     assert any(flags) and not all(flags) and any(hit_flags)
 
 
@@ -376,18 +473,11 @@ def test_grw_state_does_not_depend_on_other_sample_times():
     lambda: HybridParams(1.0, float("nan"), 1.0),
     lambda: HybridParams(1.0, float("inf"), 1.0),
     lambda: HybridParams(1.0, 4.0, float("inf")),
-    lambda: HybridParams(1.0, 4.0, 1.0, unitary_substep=0.0),
-    lambda: HybridParams(1.0, 4.0, 1.0, unitary_substep=-0.1),
-    lambda: HybridParams(1.0, 4.0, 1.0, unitary_substep=float("nan")),
-    lambda: HybridParams(1.0, 4.0, 1.0, unitary_substep=float("inf")),
     lambda: GrwParams(float("inf"), 0.5, 1.0),
     lambda: GrwParams(float("nan"), 0.5, 1.0),
     lambda: GrwParams(4.0, float("nan"), 1.0),
     lambda: GrwParams(4.0, float("inf"), 1.0),
     lambda: GrwParams(4.0, 0.5, float("nan")),
-    lambda: GrwParams(4.0, 0.5, 1.0, unitary_substep=0.0),
-    lambda: GrwParams(4.0, 0.5, 1.0, unitary_substep=float("nan")),
-    lambda: GrwParams(4.0, 0.5, 1.0, unitary_substep=float("inf")),
     lambda: DiosiParams(1.0, 64, 1.0, (float("nan"),)),
     lambda: DiosiParams(1.0, 64, 1.0, (0.5, float("inf"))),
     lambda: HybridParams(1.0, 4.0, 1.0, (float("nan"),)),
@@ -397,10 +487,7 @@ def test_grw_state_does_not_depend_on_other_sample_times():
 ], ids=[
     "diosi-lam-nan", "diosi-lam-inf", "diosi-tmax-nan", "diosi-tmax-inf",
     "hybrid-lam-nan", "hybrid-mu-nan", "hybrid-mu-inf", "hybrid-tmax-inf",
-    "hybrid-substep-zero", "hybrid-substep-negative", "hybrid-substep-nan",
-    "hybrid-substep-inf",
     "grw-mu-inf", "grw-mu-nan", "grw-alpha-nan", "grw-alpha-inf", "grw-tmax-nan",
-    "grw-substep-zero", "grw-substep-nan", "grw-substep-inf",
     "diosi-time-nan", "diosi-time-inf", "hybrid-time-nan", "hybrid-time-minus-inf",
     "grw-time-nan", "grw-second-time-nan",
 ])

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +44,9 @@ from collapsim.grid import (
     _normalize_rows,
     _phasors,
     _split_phases,
+    _split_rows,
     _unitary_rows,
+    hamiltonian_matrix,
     position_moments,
     position_variance,
 )
@@ -200,13 +203,34 @@ class TestSchrodingerStep:
             assert abs(norm2(out) - norm2(psi)) <= 1e-10 * norm2(psi)
 
     def test_evolve_unitary_matches_composed_steps(self):
+        # composed split steps converge to the exact unitary at second order
         phi = packet(n=128, lo=-16, hi=16)
         h = HamiltonianSpec(phi.grid, cosine_potential(phi.grid, 0.5))
-        a = evolve_unitary(phi, h, 0.25, max_step=1.0 / 16.0)
-        b = phi
-        for _ in range(4):
-            b = schrodinger_step(b, h, 0.25 / 4)
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+        a = evolve_unitary(phi, h, 0.25)
+        errs = []
+        for steps in (4, 8, 16, 32):
+            b = phi
+            for _ in range(steps):
+                b = schrodinger_step(b, h, 0.25 / steps)
+            errs.append(np.max(np.abs(a.amplitudes - b.amplitudes)))
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all((3.9 < ratios) & (ratios < 4.1)), ratios
+
+    @pytest.mark.parametrize("kind", ["free", "cos", "potential_only"])
+    @pytest.mark.parametrize("duration", [0.3, 2.5])
+    def test_evolve_unitary_is_exp_of_the_dense_h(self, kind, duration):
+        phi = packet(n=128, lo=-16, hi=16)
+        h = _hamiltonian(phi.grid, kind)
+        want = scipy.linalg.expm(-1j * duration * hamiltonian_matrix(h)) @ phi.amplitudes
+        got = evolve_unitary(phi, h, duration).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_one_term_h_is_one_split_step(self):
+        phi = packet(n=128, lo=-16, hi=16)
+        for kind in ("free", "potential_only"):
+            h = _hamiltonian(phi.grid, kind)
+            assert np.array_equal(evolve_unitary(phi, h, 0.7).amplitudes,
+                                  schrodinger_step(phi, h, 0.7).amplitudes)
 
     def test_h_zero_is_identity(self):
         phi = packet()
@@ -346,13 +370,14 @@ class TestRowOperations:
         h = _hamiltonian(grid, kind)
         amps = _random_rows(grid, 4, 1)
         tau = np.array([0.3, 0.0, 0.05, 1.0 / 32.0])
-        batch = _unitary_rows(amps.copy(), h, tau, 1.0 / 64.0)
+        batch = _unitary_rows(amps.copy(), h, tau)
         for r in range(4):
-            one = evolve_unitary(WaveFunction(grid, amps[r]), h, tau[r], max_step=1.0 / 64.0)
+            one = evolve_unitary(WaveFunction(grid, amps[r]), h, tau[r])
             assert np.array_equal(one.amplitudes, batch[r])
             step = schrodinger_step(WaveFunction(grid, amps[r]), h, tau[r])
-            assert np.array_equal(step.amplitudes, _unitary_rows(amps[r:r + 1].copy(), h,
-                                                                 tau[r:r + 1], None)[0])
+            want = amps[r] if tau[r] == 0 else _split_rows(amps[r:r + 1].copy(), h,
+                                                              tau[r:r + 1])[0]
+            assert np.array_equal(step.amplitudes, want)
 
     def test_potential_only_step_is_two_half_phases(self):
         grid = Grid(64, -12.0, 12.0)
@@ -414,8 +439,6 @@ class TestRowOperations:
         phi = packet(n=64, lo=-12.0, hi=12.0)
         h = _hamiltonian(phi.grid, "cos")
         with pytest.raises(InvalidParameterError):
-            evolve_unitary(phi, h, 0.5, max_step=0.0)
-        with pytest.raises(InvalidParameterError):
             evolve_unitary(phi, h, -0.5)
         with pytest.raises(GridMismatchError):
             evolve_unitary(phi, _hamiltonian(Grid(64, -10.0, 10.0), "cos"), 0.5)
@@ -424,12 +447,11 @@ class TestRowOperations:
 class TestEnginePathProperties:
     @settings(max_examples=40)
     @given(n=st.sampled_from([32, 128]), kind=st.sampled_from(H_KINDS),
-           seed=st.integers(0, 2**32 - 1), duration=st.floats(0.0, 2.0),
-           cap=st.one_of(st.none(), st.floats(1.0 / 256.0, 0.5)))
-    def test_evolve_unitary_is_unitary(self, n, kind, seed, duration, cap):
+           seed=st.integers(0, 2**32 - 1), duration=st.floats(0.0, 2.0))
+    def test_evolve_unitary_is_unitary(self, n, kind, seed, duration):
         grid = Grid(n, -16.0, 16.0)
         psi = WaveFunction(grid, _random_rows(grid, 1, seed)[0])
-        out = evolve_unitary(psi, _hamiltonian(grid, kind), duration, max_step=cap)
+        out = evolve_unitary(psi, _hamiltonian(grid, kind), duration)
         assert abs(norm2(out) - norm2(psi)) <= 1e-12 * norm2(psi)
 
     @settings(max_examples=60)

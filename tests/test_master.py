@@ -23,7 +23,7 @@ from collapsim import (
     reweight_ensemble,
 )
 from collapsim.errors import InvalidParameterError, StepTooLargeError
-from collapsim.grid import cosine_potential
+from collapsim.grid import cosine_potential, hamiltonian_matrix, kinetic_matrix
 from collapsim import master
 from collapsim.master import (
     HERMITIAN_RTOL,
@@ -33,8 +33,6 @@ from collapsim.master import (
     diosi_decoherence_rates,
     ensemble_density_se,
     grw_decoherence_rates,
-    hamiltonian_matrix,
-    kinetic_matrix,
 )
 
 GRID = Grid(32, -12.0, 12.0)

@@ -190,7 +190,7 @@ def test_rows_drawn_on_two_engine_threads_equal_the_oracle():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        with mock.patch.object(parallel, "engine_threads", lambda: 2):
+        with mock.patch.object(parallel, "engine_threads", lambda workers=None: 2):
             for _ in range(3):
                 for (m, k), rows in want.items():
                     got = diosi._in_blocks(640, 256, lambda lo, hi: fill_rows(

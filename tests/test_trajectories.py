@@ -1,7 +1,8 @@
 """Trajectories, the one array type of an ensemble: joins of slices against one
 call, the archive round trip, reweight_ensemble against per-row stacking,
-the row views, and the worker count of the pool that joins the slices."""
+the row views, and the worker count that caps the engine's threads."""
 
+import threading
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,7 @@ GRID = Grid(64, -12.0, 12.0)
 PHI = make_gaussian_packet(GRID, 0.0, 1.0)
 H = HamiltonianSpec(GRID, cosine_potential(GRID, 0.5))
 TIMES = (0.125, 0.25)
-GRW = GrwParams(4.0, 0.5, 0.3, TIMES, unitary_substep=1.0 / 32.0)
+GRW = GrwParams(4.0, 0.5, 0.3, TIMES)
 HYBRID = HybridParams(1.0, 4.0, 0.25, TIMES, wiener_resolution=64.0)
 CFG = RunConfig.from_text("model = grw\nseed = 7\nmu = 4\nalpha = 0.5\nt_max = 0.3\n"
                           "sample_times = 0.125, 0.25\nn_points = 64\n")
@@ -182,27 +183,37 @@ class TestWorkerCount:
                           SLICES["hybrid"](0, 9))
 
 
-def _engine_threads_slice(lo, hi):
-    """A slice whose weights hold the engine threads of the process that made it."""
-    return Trajectories(0, GRID, (0.0,), list(range(lo, hi)),
-                        np.full((hi - lo, 1), float(parallel.engine_threads())), None,
-                        np.zeros(hi - lo, dtype=bool))
-
-
 class TestEngineThreads:
-    """The engine threads are this process's share of the usable cores."""
+    """The engine threads are the usable cores, capped at the worker count when one is set."""
 
-    @pytest.mark.parametrize("cores,sharing,threads", [
-        (1, 1, 1), (2, 1, 2), (4, 2, 2), (2, 2, 1), (3, 2, 1), (2, 4, 1)])
-    def test_cores_divided_among_the_processes(self, cores, sharing, threads, monkeypatch):
+    @pytest.mark.parametrize("cores,workers,env,threads", [
+        (1, None, None, 1), (2, None, None, 2), (4, None, None, 4), (2, 1, None, 1),
+        (4, 2, None, 2), (2, 3, None, 2), (4, None, "3", 3), (4, 1, "3", 1), (2, None, "8", 2)])
+    def test_workers_cap_the_usable_cores(self, cores, workers, env, threads, monkeypatch):
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
-        monkeypatch.setattr(parallel, "_processes_sharing_cores", sharing)
-        assert parallel.engine_threads() == threads
+        if env is None:
+            monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("COLLAPSIM_WORKERS", env)
+        assert parallel.engine_threads(workers) == threads
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_pool_workers_share_the_cores(self, workers):
-        cores = parallel._usable_cores()
-        got = parallel.run_sliced(_engine_threads_slice, (), 8, workers)
-        assert np.all(got.weights == max(1, cores // workers))
-        assert parallel.engine_threads() == cores  # the caller keeps its own share
+    def test_an_ensemble_runs_its_blocks_on_at_most_workers_threads(self, workers,
+                                                                    monkeypatch):
+        # 8 blocks of one row; each block records the thread that ran it
+        monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
+        seen = set()
+        trotter = diosi._trotter_product
+
+        def recording(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return trotter(*args, **kwargs)
+
+        with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", GRID.n_points), \
+                mock.patch.object(diosi, "_trotter_product", recording):
+            got = hybrid_ensemble(PHI, H, HYBRID, 7, 8, workers=workers)
+        assert 1 <= len(seen) <= min(workers, parallel._usable_cores())
+        if workers == 1:
+            assert len(seen) == 1
+        assert_same_bytes(got, SLICES["hybrid"](0, 8))
