@@ -81,10 +81,11 @@ def write_archive(path, config, records):
     if records.states is None:
         raise ArchiveError("an archive stores states; this run kept the weights only")
     _check_indices(records.indices)
+    # plain structured arrays: a recarray row is a slow np.record lookup
     heads = np.rec.fromarrays([records.indices, records.boundary_flags, records.n_flashes],
-                              dtype=_RECORD_HEAD)
+                              dtype=_RECORD_HEAD).view(np.ndarray)
     flashes = np.rec.fromarrays([records.flash_times, records.flash_centers, records.flash_norms],
-                                dtype=_FLASH)
+                                dtype=_FLASH).view(np.ndarray)
     tails = np.empty(len(records), _record_tail(len(records.times), records.grid.n_points))
     tails["n_times"], entries = len(records.times), tails["entries"]
     entries["time"], entries["weight"], entries["amplitudes"] = (

@@ -1,30 +1,32 @@
-"""The stochastic Trotter product: one batched engine, three processes over it.
+"""The stochastic Trotter product: one engine function, three processes over it.
 
 The paper's stochastic Trotter formula is an alternating product of
 unitary factors exp(-i tau H) and multiplicative collapse factors.
-``_trotter_product`` applies it to a batch of trajectories held as an
-(N, n) amplitude array, worked through in row blocks of about 2^14
-amplitudes.  Each row has its own unitary durations tau_r, each applied
+``_records`` applies it to a batch of trajectories held as an (N, n)
+amplitude array, worked through in row blocks of about 2^14 amplitudes,
+and builds each block's ``records.Trajectories`` (weights (N, T), states
+(N, T, n), boundary flags, and the flashes flattened from the padded
+(N, K) factor arrays); the blocks are joined with ``Trajectories.concat``.
+That type is what every simulation entry point returns and what the
+archive stores.
+
+A process is a clock times a factor.  The clock is (jump_times, tau,
+counts, residual): each row's unitary durations tau_r, each applied
 exactly by ``grid._unitary_rows`` (the eigenbasis product of the dense H
 when V and the kinetic term are both present, one phase step otherwise),
-and its own number of factors before each sample time.  The Diosi
-process alone shares one duration 1/R between all factors and rows; its
-unitary is one split step with shared phases, the second-order integrator
-of its equation.  The collapse factor is a value
-the spec passes in: it acts in place on the evolved rows of factor k and
-gives back their raw squared norms, which the engine keeps for the
-flashes.  At a sample time a snapshot hook records the raw squared norm
-(the weight) and, on a copy after the residual unitary, the normalized
-state and the boundary mass.
+its number of factors before each sample time and its residual unitary
+up to it.  The Diosi clock alone shares one duration 1/R between all
+factors and rows; its unitary is one split step with shared phases, the
+second-order integrator of its equation.  The factor gives, per row
+block, a step that acts in place on the evolved rows of factor k and
+gives back their raw squared norms (for the flashes), the flash centers
+and the block's boundary flags.  At a sample time the engine records the
+raw squared norm (the weight, or 1) and, on a copy after the residual
+unitary, the normalized state.  One flag rule holds for all processes: a
+row's boundary flag is raised by every snapshot state that is formed,
+and by its factor.
 
-Each spec turns the engine's arrays for one row block into a
-``records.Trajectories`` (weights (N, T), states (N, T, n), boundary flags,
-and the flashes flattened from the padded (N, K) factor arrays), and the
-blocks are joined with ``Trajectories.concat``.  That
-type is what every simulation entry point returns and what the archive
-stores.
-
-``_in_blocks`` maps a block function over the row blocks on
+``_in_blocks`` maps the block function over the row blocks on
 ``parallel.engine_threads(workers)`` threads, in contiguous groups of
 blocks; numpy, the FFTs and the GEMMs release the GIL, so the blocks of
 one call run on both cores of a 2-core machine.  There is no process
@@ -50,7 +52,7 @@ whose rows are the batch's rows, per-row sums and per-row random
 streams), so a row's bytes do not depend on its batch or its block, and a
 single trajectory is a batch of one.
 
-Three processes are thin specs over the engine.  The two jump processes
+Three processes are specs over ``_records``.  The two jump processes
 share one clock, ``_jump_schedule``, as in the paper: Exp(1) waits X_k,
 jump times T_k = (X_1 + ... + X_k) / mu; only the factor applied at a jump
 differs.
@@ -186,13 +188,15 @@ class HybridParams:
         return 2.0 * self.lam / self.mu
 
 
-def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
-    """The exact collapse flow over mesh cells of length dt, as an engine factor.
+def _flow_factor(grid, lam, dt, increments, n_cells, rows, centers=None):
+    """The exact collapse flow over mesh cells of length dt, as a ``_records`` factor.
 
-    Factor k applies ``grid._flow_rows`` to row r with dxi
+    Step k applies ``grid._flow_rows`` to row r with dxi
     ``increments(k0, k1)[r, k - k0]``, fetched for cells k0 <= k < k1 at
     most ``_MAX_INCREMENT_ELEMENTS`` at a time and never past ``n_cells``.
-    Returns the raw squared norms after the flow when ``norms``, else None.
+    Returns (step, centers, flags): with flash ``centers`` the step returns
+    the raw squared norms after the flow, else None; the flow raises no
+    flag of its own.
     """
     buf = np.empty((rows, grid.n_points))
     chunk = max(1, _MAX_INCREMENT_ELEMENTS // max(rows, 1))
@@ -206,68 +210,91 @@ def _flow_factor(grid, lam, dt, increments, n_cells, rows, norms=False):
             held[2] = increments(*held[:2])
         dxi = held[2][act, k - held[0]]
         _flow_rows(amps, grid, lam, dt, dxi, out=amps, buf=buf[:dxi.size])
-        return _norm2_rows(amps, grid.dx) if norms else None
+        return None if centers is None else _norm2_rows(amps, grid.dx)
 
-    return flow
+    return flow, centers, np.zeros(rows, dtype=bool)
 
 
-def _trotter_product(phi0, h, factor, counts, tau, residual=None,
-                     store_states=True, flash_norms=False):
-    """The Trotter product on one row block of copies of phi0, which must be normalized.
+def _records(phi0, h, seed, indices, times, clock, factor, store_states=True, workers=None,
+             unit_weights=False):
+    """The Trajectories of rows ``indices``: the Trotter product of a clock and a factor.
 
-    Row r applies factors k = 0, 1, ...: the unitary of duration tau (a
-    float for every factor of every row, taken as one split step with
-    shared phases; else ``tau[r, k]``, exactly) and then the
-    collapse factor ``factor(amps, act, k)``, which acts in place on the
-    evolved rows ``act`` of the block (a slice or an index array) and
-    returns their raw squared norms, recorded when ``flash_norms``.
-    Snapshot j follows the first ``counts[r, j]`` factors (counts
-    non-decreasing in j): the weight is the raw squared norm there; the
-    state is normalized after the unitary of duration ``residual[r, j]`` on
-    a copy (none when residual is None), and the boundary flag of check j
-    is taken from that state whenever it is formed (always when residual
-    is None).  Returns the (rows, T) weights, the (rows, T, n) states or
-    None, the (rows, T) boundary flags of the checks and the (rows, K) raw
-    squared norms after factor k (zero past a row's factors) or None.
+    Every process is this product on copies of phi0, which must be
+    normalized, worked through in the row blocks of ``_in_blocks``.  The
+    ``clock`` is (jump_times, tau, counts, residual), as ``_jump_schedule``
+    returns it.  Row r applies factors k = 0, 1, ...: the unitary of
+    duration tau (a float for every factor of every row, taken as one split
+    step with shared phases; else ``tau[r, k]``, exactly), then the collapse
+    step.  Snapshot j follows the first ``counts[r, j]`` factors (counts
+    non-decreasing in j); the columns of counts past ``times`` run their
+    factors and take no snapshot.  At snapshot j the weight is the raw
+    squared norm (1 with ``unit_weights``), and the state is normalized
+    after the unitary of duration ``residual[r, j]`` on a copy, or on the
+    batch itself when residual is None.  With a residual and without
+    ``store_states`` no state is formed.
+
+    ``factor(b0, b1)`` gives (step, centers, flags) for rows b0 .. b1-1:
+    ``step(amps, act, k)`` acts in place on the evolved rows ``act`` of the
+    block (a slice or an index array) and returns their raw squared norms or
+    None; ``centers`` is the (rows, K) flash centers or None; ``flags`` is
+    a (rows,) bool array that the step may raise.
+
+    One flag rule for every process: a row's boundary flag is raised by
+    every snapshot state that is formed, and by the factor.  When
+    ``jump_times`` is not None, row r's flashes are its first max_j
+    counts[r, j] factors, at ``jump_times[r]``, with the factor's centers
+    and the norms its step returns.
     """
     if phi0.label != NORMALIZED:
         raise InvalidParameterError("phi0 must be normalized")
     grid = phi0.grid
-    rows, n_snap = counts.shape
-    n, dx = grid.n_points, grid.dx
-    weights = np.empty((rows, n_snap))
-    states = np.empty((rows, n_snap, n), dtype=np.complex128) if store_states else None
-    flags = np.zeros((rows, n_snap), dtype=bool)
-    norms = np.zeros((rows, tau.shape[1])) if flash_norms else None
-    if rows == 0:
-        return weights, states, flags, norms
+    jump_times, tau, counts, residual = clock
+    shared = isinstance(tau, float)
+    phases = _split_phases(h, tau) if shared else None
+    n_times = len(times)
 
-    shared_tau = isinstance(tau, float)
-    phases = _split_phases(h, tau) if shared_tau else None
-    amps = np.tile(phi0.amplitudes, (rows, 1))
-    done = np.zeros(rows, dtype=np.int64)
-    for j in range(n_snap):
-        target = counts[:, j]
-        lockstep = done.min() == done.max() and target.min() == target.max()
-        for k in range(int(done.min()), int(target.max())):
-            act = slice(None) if lockstep else np.flatnonzero((done <= k) & (k < target))
-            sub = _unitary_rows(amps[act], h, tau if shared_tau else tau[act, k], phases)
-            got = factor(sub, act, k)
-            if flash_norms:
-                norms[act, k] = got
-            if lockstep:
-                amps = sub
-            else:
-                amps[act] = sub
-        done = target
-        weights[:, j] = _norm2_rows(amps, dx)
-        if residual is not None and not store_states:
-            continue
-        snap = amps if residual is None else _unitary_rows(amps.copy(), h, residual[:, j])
-        flags[:, j] = _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
-        if store_states:
-            _normalize_rows(snap, _norm2_rows(snap, dx), out=states[:, j])
-    return weights, states, flags, norms
+    def block(b0, b1):
+        step, centers, flags = factor(b0, b1)
+        rows, cnt = b1 - b0, counts[b0:b1]
+        taus = tau if shared else tau[b0:b1]
+        res = None if residual is None else residual[b0:b1]
+        weights = np.ones((rows, n_times)) if unit_weights else np.empty((rows, n_times))
+        states = (np.empty((rows, n_times, grid.n_points), dtype=np.complex128)
+                  if store_states else None)
+        norms = None if jump_times is None else np.zeros(taus.shape)
+        amps = np.tile(phi0.amplitudes, (rows, 1))
+        done = np.zeros(rows, dtype=np.int64)
+        for j in range(cnt.shape[1] if rows else 0):
+            target = cnt[:, j]
+            lockstep = done.min() == done.max() and target.min() == target.max()
+            for k in range(int(done.min()), int(target.max())):
+                act = slice(None) if lockstep else np.flatnonzero((done <= k) & (k < target))
+                sub = _unitary_rows(amps[act], h, taus if shared else taus[act, k], phases)
+                got = step(sub, act, k)
+                if norms is not None:
+                    norms[act, k] = got
+                if lockstep:
+                    amps = sub
+                else:
+                    amps[act] = sub
+            done = target
+            if j >= n_times:
+                continue
+            if not unit_weights:
+                weights[:, j] = _norm2_rows(amps, grid.dx)
+            if res is None or store_states:
+                snap = amps if res is None else _unitary_rows(amps.copy(), h, res[:, j])
+                flags |= _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
+                if store_states:
+                    _normalize_rows(snap, _norm2_rows(snap, grid.dx), out=states[:, j])
+        flashes = ()
+        if jump_times is not None:
+            n_flashes = cnt.max(axis=1, initial=0)
+            keep = np.arange(norms.shape[1]) < n_flashes[:, None]
+            flashes = jump_times[b0:b1][keep], centers[keep], norms[keep], n_flashes
+        return Trajectories(seed, grid, times, indices[b0:b1], weights, states, flags, *flashes)
+
+    return Trajectories.concat(_in_blocks(len(indices), grid.n_points, block, workers))
 
 
 def _row_blocks(n_rows, n_points):
@@ -312,15 +339,6 @@ def _in_blocks(n_rows, n_points, block, workers=None):
         if exc is not None:
             raise exc
     return results
-
-
-def _flat_flashes(n_flashes, times, centers, norms):
-    """The flash arguments of a Trajectories from padded (rows, K) arrays.
-
-    Row r keeps its first ``n_flashes[r]`` entries, in row order.
-    """
-    keep = np.arange(times.shape[1]) < n_flashes[:, None]
-    return times[keep], centers[keep], norms[keep], n_flashes
 
 
 def _snap_steps(sample_times, resolution):
@@ -393,14 +411,14 @@ def _jump_schedule(seed, indices, mu, times, horizon, deterministic):
 
 
 def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, workers=None):
-    """Hybrid spec: the Trajectories of indices lo .. hi-1, one engine call.
+    """Hybrid spec: the Trajectories of indices lo .. hi-1, one ``_records`` call.
 
-    The jump schedule of ``_jump_schedule`` up to the last sample time,
-    then the engine over row blocks.  Row i takes its flow increments from
-    the coarse sums of its Wiener cells at wiener_resolution, in the rng
-    layout (read together for the rows with equally many flashes).  Row
-    r's flashes are its first n_flashes[r] factors, at the jump times, with
-    centers (mu / (2 sqrt(lam))) dxi.
+    The clock is ``_jump_schedule`` up to the last sample time, and the
+    factor the flow over the coarse increments: row i's are the coarse sums
+    of its Wiener cells at wiener_resolution, in the rng layout, read before
+    the blocks (together for the rows with equally many flashes).  Row r's
+    flashes are its factors, at the jump times, with centers
+    (mu / (2 sqrt(lam))) dxi.
     """
     indices = list(range(lo, hi))
     n_rows = len(indices)
@@ -410,7 +428,7 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, workers=None):
     dt_cell = 1.0 / p.mu
     _check_flow_budget(phi0.grid, p.lam, dt_cell)
     times = p.sample_times
-    jump_times, taus, counts, residual = _jump_schedule(
+    _, taus, counts, _ = clock = _jump_schedule(
         seed, indices, p.mu, times, times[-1] if times else 0.0, p.deterministic_times)
     n_flashes = counts.max(axis=1, initial=0)
     n_factors = taus.shape[1]
@@ -425,18 +443,9 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, workers=None):
             dxis[rows, :n] = rngmod.coarse_sums(
                 wiener.fill(rows, 0, np.empty((rows.size, n * ratio))), ratio)
     centers = (p.mu / (2.0 * math.sqrt(p.lam))) * dxis
-
-    def block(b0, b1):
-        flow = _flow_factor(phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[b0:b1, k0:k1],
-                            n_factors, b1 - b0, norms=True)
-        weights, states, flags, norms = _trotter_product(
-            phi0, h, flow, counts[b0:b1], taus[b0:b1], residual[b0:b1],
-            store_states=store_states, flash_norms=True)
-        return Trajectories(seed, phi0.grid, p.sample_times, indices[b0:b1], weights, states,
-                            flags.any(axis=1), *_flat_flashes(
-                                n_flashes[b0:b1], jump_times[b0:b1], centers[b0:b1], norms))
-
-    return Trajectories.concat(_in_blocks(n_rows, phi0.grid.n_points, block, workers))
+    return _records(phi0, h, seed, indices, times, clock, lambda b0, b1: _flow_factor(
+        phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[b0:b1, k0:k1], n_factors, b1 - b0,
+        centers[b0:b1]), store_states, workers)
 
 
 def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
@@ -468,18 +477,14 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     steps = np.array(_snap_steps(p.sample_times, res), dtype=np.int64)
     indices = list(range(first_index, first_index + n_trajectories))
 
-    def block(lo, hi):
-        wiener = rngmod.WienerRows(seed, indices[lo:hi], res)  # one key cache per block
-        flow = _flow_factor(
-            phi0.grid, p.lam, dt,
-            lambda k0, k1: wiener.fill(slice(None), k0, np.empty((hi - lo, k1 - k0))),
-            int(steps.max(initial=0)), hi - lo)
-        weights, states, flags, _ = _trotter_product(
-            phi0, h, flow, np.tile(steps, (hi - lo, 1)), dt, store_states=store_states)
-        return Trajectories(seed, phi0.grid, p.sample_times, indices[lo:hi], weights, states,
-                            flags.any(axis=1))
+    def factor(b0, b1):
+        wiener = rngmod.WienerRows(seed, indices[b0:b1], res)  # one key cache per block
+        return _flow_factor(phi0.grid, p.lam, dt, lambda k0, k1: wiener.fill(
+            slice(None), k0, np.empty((b1 - b0, k1 - k0))), int(steps.max(initial=0)), b1 - b0)
 
-    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block, workers))
+    clock = None, dt, np.tile(steps, (len(indices), 1)), None
+    return _records(phi0, h, seed, indices, p.sample_times, clock, factor, store_states,
+                    workers)
 
 
 def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True):

@@ -7,16 +7,16 @@ which is sampled exactly in two stages: a grid position from |psi|^2 dx,
 plus independent Normal(0, 1/(2 alpha)) noise.  The two-stage law equals
 the convolution density by construction.
 
-Trajectories run on ``diosi._trotter_product``, on the jump clock the
-hybrid process also runs on (``diosi._jump_schedule``): Exp(1) waits X_k
-in the rng layout and jump times T_k = X_1 / mu + ... + X_k / mu.
-Factor k is the exact unitary of duration X_k / mu (``grid._unitary_rows``)
-followed by the hit factor,
-which draws each row's center from that row's evolved state with the
-row's k-th uniform and k-th normal, multiplies by (alpha/pi)^(1/4)
-exp(-(alpha/2)(x - y)^2)
-(``grid._hit_rows``), records the raw squared norm and renormalizes
-(``grid._normalize_rows``).  The uniforms and normals, from the row's own
+Trajectories are ``diosi._records`` on the jump clock the hybrid process
+also runs on (``diosi._jump_schedule``): Exp(1) waits X_k in the rng
+layout and jump times T_k = X_1 / mu + ... + X_k / mu.  Factor k is the
+exact unitary of duration X_k / mu (``grid._unitary_rows``) followed by
+the hit factor (``_hit_factor``), which draws each row's center from that
+row's evolved state with the row's k-th uniform and k-th normal,
+multiplies by (alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2)
+(``grid._hit_rows``), records the raw squared norm, renormalizes
+(``grid._normalize_rows``) and raises the row's boundary flag from the
+renormalized state.  The uniforms and normals, from the row's own
 ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams, are drawn for every
 row before the row blocks run (``_flash_draws``), so the blocks do array
 work only.  Snapshots are the normalized states after the residual
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .diosi import _flat_flashes, _in_blocks, _jump_schedule, _trotter_product
+from .diosi import _jump_schedule, _records
 from .errors import DegenerateStateError, InvalidParameterError
 from .grid import (
     BOUNDARY_MASS_LIMIT,
@@ -40,7 +40,6 @@ from .grid import (
     _require_positive,
     _validate_sample_times,
 )
-from .records import Trajectories
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,12 @@ def _flash_draws(seed, indices, n_hits):
 
 
 def _hit_factor(grid, alpha, uniforms, normals):
-    """The Gaussian hit as an engine factor for the rows of one block.
+    """The Gaussian hit as a ``diosi._records`` factor for the rows of one block.
 
     ``uniforms`` and ``normals`` hold the block's rows of ``_flash_draws``:
     hit k of row r uses uniforms[r, k] and normals[r, k].  Returns (hit,
-    centers, flags): the factor, the (rows, n_hits) centers it draws, and
-    the per-row flag it ORs with the boundary mass after every hit.
+    centers, flags): the step, the (rows, n_hits) centers it draws, and
+    the per-row flag it raises from the boundary mass after every hit.
     """
     rows = uniforms.shape[0]
     r_all = np.arange(rows)
@@ -141,36 +140,23 @@ def _hit_factor(grid, alpha, uniforms, normals):
 
 def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=False,
                  workers=None):
-    """The Trajectories of the jump indices lo .. hi-1, in row blocks.
+    """GRW spec: the Trajectories of the jump indices lo .. hi-1, one ``_records`` call.
 
-    The jumps are those of ``diosi._jump_schedule`` up to t_max (every wait
-    X_k = 1 when ``deterministic``).  Every one of them is a factor,
-    including those after the last sample time, whose flashes are recorded
-    too.  Without ``store_states`` the rows keep no states, and their
-    boundary flags come from the hits alone.
+    The clock is ``diosi._jump_schedule`` up to t_max (every wait X_k = 1
+    when ``deterministic``), the factor ``_hit_factor``, and the weights
+    are 1.  Every jump is a factor, including those after the last sample
+    time, whose flashes are recorded too.  Without ``store_states`` the rows
+    keep no states, and their boundary flags come from the hits alone.
     """
     indices = range(lo, hi)
-    times = p.sample_times
-    n_times = len(times)
-    # one more column at t_max, after every jump and with no residual unitary,
-    # runs the jumps that follow the last sample time; its snapshot is dropped
-    jump_times, taus, counts, residual = _jump_schedule(
-        seed, indices, p.mu, times + (p.t_max,), p.t_max, deterministic)
-    residual[:, -1] = 0.0
+    # one more column at t_max, after every jump, runs the jumps that follow
+    # the last sample time; it takes no snapshot
+    _, taus, _, _ = clock = _jump_schedule(
+        seed, indices, p.mu, p.sample_times + (p.t_max,), p.t_max, deterministic)
     uniforms, normals = _flash_draws(seed, indices, taus.shape[1])
-
-    def block(b0, b1):
-        hit, centers, hit_flags = _hit_factor(phi0.grid, p.alpha, uniforms[b0:b1],
-                                              normals[b0:b1])
-        _, states, flags, norms = _trotter_product(
-            phi0, h, hit, counts[b0:b1], taus[b0:b1], residual[b0:b1],
-            store_states=store_states, flash_norms=True)
-        return Trajectories(seed, phi0.grid, times, indices[b0:b1], np.ones((b1 - b0, n_times)),
-                            states if states is None else states[:, :n_times],
-                            flags[:, :n_times].any(axis=1) | hit_flags,
-                            *_flat_flashes(counts[b0:b1, -1], jump_times[b0:b1], centers, norms))
-
-    return Trajectories.concat(_in_blocks(len(indices), phi0.grid.n_points, block, workers))
+    return _records(phi0, h, seed, indices, p.sample_times, clock, lambda b0, b1: _hit_factor(
+        phi0.grid, p.alpha, uniforms[b0:b1], normals[b0:b1]), store_states, workers,
+        unit_weights=True)
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):

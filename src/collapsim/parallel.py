@@ -2,8 +2,9 @@
 
 Each trajectory derives all of its randomness from (seed, index), so the
 results are identical for any thread count; only wall time changes.  The
-Trotter engine maps its row blocks over ``engine_threads(workers)``
-threads in one process (``diosi._in_blocks``): the usable cores
+Trotter engine (``diosi._records``, the one block function of every
+process) maps its row blocks over ``engine_threads(workers)`` threads in
+one process (``diosi._in_blocks``): the usable cores
 (``os.sched_getaffinity``), capped at ``workers`` when it is given, as an
 argument or as COLLAPSIM_WORKERS.
 

@@ -1,8 +1,8 @@
 """The batched Trotter-product engine: batch rows against single runs, against
 a literal composition of the grid propagators for all three processes and
 against scipy's matrix exponential; row bytes across batches, blocks, engine
-threads and BLAS threads; fail-closed parameters, and the boundary flag of
-weights-only runs."""
+threads and BLAS threads; fail-closed parameters; the edge shapes (no rows, no
+sample times) and the one boundary-flag rule of weights-only runs."""
 
 import hashlib
 import os
@@ -50,6 +50,7 @@ from collapsim.grid import (
     norm2,
     normalize,
 )
+from collapsim.grw import _grw_records
 from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION
 from reference import jump_times, stream, waits, wiener_cells
 
@@ -505,3 +506,62 @@ def test_weights_only_diosi_keeps_boundary_flag(packet, flagged):
     bare = diosi_ensemble(phi, h, p, 63, 20, store_states=False)
     assert [r.boundary_flag for r in bare] == [r.boundary_flag for r in full]
     assert all(r.boundary_flag is flagged for r in bare)
+
+
+
+# the three processes at lam = 0.1 (alpha = 2 lam / mu) up to t_max = 0.5, with
+# and without states: weak collapse, so the pushed packet reaches the edge
+EDGE_RUNS = {
+    "diosi": lambda times, n, store=True: diosi_ensemble(
+        PACKETS["edge"], HAMILTONIANS["cos"], DiosiParams(0.1, 64, 0.5, times), 74, n,
+        store_states=store),
+    "hybrid": lambda times, n, store=True: hybrid_ensemble(
+        PACKETS["edge"], HAMILTONIANS["cos"], HybridParams(0.1, 8.0, 0.5, times), 74, n,
+        store_states=store),
+    "grw": lambda times, n, store=True: _grw_records(
+        PACKETS["edge"], HAMILTONIANS["cos"], GrwParams(8.0, 0.025, 0.5, times), 74, 0, n,
+        store_states=store),
+}
+
+
+@pytest.mark.parametrize("process", sorted(EDGE_RUNS))
+@pytest.mark.parametrize("times", [(), (0.125, 0.25)], ids=["no-times", "two-times"])
+@pytest.mark.parametrize("n", [0, 6])
+def test_edge_shapes(process, times, n):
+    traj = EDGE_RUNS[process](times, n)
+    assert traj.times == times and traj.indices.tolist() == list(range(n))
+    assert traj.weights.shape == (n, len(times))
+    assert traj.states.shape == (n, len(times), GRID.n_points)
+    assert traj.boundary_flags.shape == traj.n_flashes.shape == (n,)
+    assert all(a.shape == (traj.n_flashes.sum(),)
+               for a in (traj.flash_times, traj.flash_centers, traj.flash_norms))
+    flashes = [[f.time for f in row.flashes] for row in traj]
+    if process == "grw":
+        # weights exactly 1 and no t_max column, but every jump up to t_max is a flash
+        assert np.all(traj.weights == 1.0)
+        assert flashes == [jump_times(74, i, 8.0, 0.5).tolist() for i in range(n)]
+        assert (traj.n_flashes.sum() > 0) == (n > 0)
+    elif process == "hybrid":
+        # flashes up to the last sample time only: none without sample times
+        assert flashes == [jump_times(74, i, 8.0, times[-1]).tolist() if times else []
+                           for i in range(n)]
+    else:
+        assert traj.n_flashes.sum() == 0
+
+
+@pytest.mark.parametrize("process", sorted(EDGE_RUNS))
+def test_weights_only_rows_follow_the_one_flag_rule(process):
+    # a flag comes from every snapshot state that is formed and from the factor:
+    # Diosi forms its snapshots on the batch, a weights-only hybrid row forms
+    # none, and a weights-only GRW row keeps the flags of its hits
+    times = (0.25, 0.5)
+    full, bare = EDGE_RUNS[process](times, 12), EDGE_RUNS[process](times, 12, False)
+    assert any(full.boundary_flags)
+    if process == "diosi":
+        assert np.array_equal(bare.boundary_flags, full.boundary_flags)
+    elif process == "hybrid":
+        assert not any(bare.boundary_flags)
+    else:
+        assert any(bare.boundary_flags)
+        assert np.array_equal(bare.boundary_flags, EDGE_RUNS[process]((), 12).boundary_flags)
+    assert np.array_equal(bare.weights, full.weights)

@@ -16,6 +16,7 @@ from collapsim import (
     HybridParams,
     diosi_ensemble,
     ensemble_density,
+    grw_ensemble,
     hybrid_ensemble,
     make_gaussian_packet,
     reweight_ensemble,
@@ -183,6 +184,15 @@ class TestWorkerCount:
                           SLICES["hybrid"](0, 9))
 
 
+# eight rows of each process, on the engine's default threads or capped at ``workers``
+BLOCK_RUNS = {
+    "diosi": lambda workers=None: diosi_ensemble(PHI, H, DiosiParams(1.0, 64, 0.25, TIMES), 7, 8,
+                                                 workers=workers),
+    "grw": lambda workers=None: grw_ensemble(PHI, H, GRW, 7, 8, workers=workers),
+    "hybrid": lambda workers=None: hybrid_ensemble(PHI, H, HYBRID, 7, 8, workers=workers),
+}
+
+
 class TestEngineThreads:
     """The engine threads are the usable cores, capped at the worker count when one is set."""
 
@@ -198,22 +208,23 @@ class TestEngineThreads:
             monkeypatch.setenv("COLLAPSIM_WORKERS", env)
         assert parallel.engine_threads(workers) == threads
 
+    @pytest.mark.parametrize("process", sorted(BLOCK_RUNS))
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_an_ensemble_runs_its_blocks_on_at_most_workers_threads(self, workers,
+    def test_an_ensemble_runs_its_blocks_on_at_most_workers_threads(self, workers, process,
                                                                     monkeypatch):
-        # 8 blocks of one row; each block records the thread that ran it
+        # 8 blocks of one row; each block's unitaries record the thread that ran it
         monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
         seen = set()
-        trotter = diosi._trotter_product
+        unitary = diosi._unitary_rows
 
         def recording(*args, **kwargs):
             seen.add(threading.get_ident())
-            return trotter(*args, **kwargs)
+            return unitary(*args, **kwargs)
 
         with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", GRID.n_points), \
-                mock.patch.object(diosi, "_trotter_product", recording):
-            got = hybrid_ensemble(PHI, H, HYBRID, 7, 8, workers=workers)
+                mock.patch.object(diosi, "_unitary_rows", recording):
+            got = BLOCK_RUNS[process](workers)
         assert 1 <= len(seen) <= min(workers, parallel._usable_cores())
         if workers == 1:
             assert len(seen) == 1
-        assert_same_bytes(got, SLICES["hybrid"](0, 8))
+        assert_same_bytes(got, BLOCK_RUNS[process]())
