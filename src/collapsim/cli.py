@@ -74,24 +74,29 @@ def run_simulate(cfg, out_dir, workers=None):
     """Run a trajectory or master-equation simulation; returns artifact paths.
 
     The worker count, the grid, the initial packet, the Hamiltonian and the
-    model's parameters are all checked first, so a bad value fails before
-    the output directory is made.  ``workers`` caps the engine's threads.
+    model's parameters are all checked, and the master equation solved or
+    the ensemble run, before the output directory is made: a failed run
+    leaves no directory.  ``workers`` caps the engine's threads.
     """
     worker_count(workers)
     grid = build_grid(cfg)
     phi0 = build_packet(cfg, grid)
     h = build_hamiltonian(cfg, grid)
     params = _model_params(cfg)
+    if cfg.model == "master":
+        rho0 = DensityMatrix.from_wavefunction(phi0)
+        t = cfg.sample_times[-1]
+        if cfg.master_model == "grw":
+            rho = evolve_grw_master(rho0, h, cfg.mu, cfg.alpha, t, cfg.master_dt)
+        else:
+            rho = evolve_diosi_master(rho0, h, cfg.lam, t, cfg.master_dt)
+    else:
+        records = _ENSEMBLES[cfg.model](phi0, h, params, cfg.seed, cfg.n_trajectories,
+                                        workers=workers)
     os.makedirs(out_dir, exist_ok=True)
     created = []
     try:
         if cfg.model == "master":
-            rho0 = DensityMatrix.from_wavefunction(phi0)
-            t = cfg.sample_times[-1]
-            if cfg.master_model == "grw":
-                rho = evolve_grw_master(rho0, h, cfg.mu, cfg.alpha, t, cfg.master_dt)
-            else:
-                rho = evolve_diosi_master(rho0, h, cfg.lam, t, cfg.master_dt)
             xs = [_fmt(x) for x in grid.x.tolist()]
             lines = ["x_i,x_j,re,im\r\n"]
             for xi, re_row, im_row in zip(xs, rho.entries.real.tolist(),
@@ -102,8 +107,6 @@ def run_simulate(cfg, out_dir, workers=None):
             _write_text(path, "".join(lines), created)
             return created
 
-        records = _ENSEMBLES[cfg.model](phi0, h, params, cfg.seed, cfg.n_trajectories,
-                                        workers=workers)
         arc_path = os.path.join(out_dir, f"{cfg.model}_archive.cldn")
         archive_mod.write_archive(arc_path, cfg, records)
         created.append(arc_path)

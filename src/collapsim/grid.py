@@ -28,16 +28,22 @@ W and W^T take 2 n^2 floats (4.2 MB at n = 512, 67 MB at n = 2048).  A row's byt
 do not depend on its batch: the GEMMs run on C-contiguous stacks of at
 least _MIN_GEMM_ROWS real rows.
 
+numpy.fft is the only FFT on the package's path: the split step,
+``kinetic_matrix``, ``spectral_derivative``, ``nyquist_mass_fraction`` and
+verify's Laplacian all use it, so importing the package loads no scipy
+module (only ``stats.chi2_sf`` and criterion 7's expm oracle import scipy,
+when called).  tests/test_grid.py pins numpy.fft's bits to scipy.fft's on
+every power-of-two grid from 8 to 2048 points.
+
 The split step ``_apply_split_step`` is the Diosi integrator's unitary, at
 the shared duration 1/R, and ``schrodinger_step``.  It works in place: the
 phase products write into the rows, and numpy.fft writes its transforms
-back into them (the same bits as scipy.fft on the engine's shapes), so a
-step allocates nothing.  The per-row phasors exp(-i dt V / 2) and
-exp(-i dt k^2 / 2) of ``_split_rows`` are formed by ``_phasors`` as cos
-and sin written into the real and imaginary parts of one complex array,
-bit for bit the complex exponentials; k^2 is exactly mirror-even on the
-FFT grid, so the kinetic phasor is computed on the half spectrum and
-mirrored.
+back into them, so a step allocates nothing.  The per-row phasors
+exp(-i dt V / 2) and exp(-i dt k^2 / 2) of ``_split_rows`` are formed by
+``_phasors`` as cos and sin written into the real and imaginary parts of
+one complex array, bit for bit the complex exponentials; k^2 is exactly
+mirror-even on the FFT grid, so the kinetic phasor is computed on the
+half spectrum and mirrored.
 
 Conventions: hbar = 1, mass = 1, H = -1/2 d^2/dx^2 + V(x) with V bounded.
 Boundary conditions are periodic (spectral propagator); quadrature is the
@@ -52,7 +58,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     DegenerateStateError,
@@ -199,8 +204,8 @@ def kinetic_matrix(grid):
     dropped.
     """
     n = grid.n_points
-    mat = scipy.fft.ifft(
-        (0.5 * grid.k**2)[:, None] * scipy.fft.fft(np.eye(n, dtype=np.complex128), axis=0),
+    mat = np.fft.ifft(
+        (0.5 * grid.k**2)[:, None] * np.fft.fft(np.eye(n, dtype=np.complex128), axis=0),
         axis=0).real
     return 0.5 * (mat + mat.T)  # symmetrize roundoff
 
@@ -338,8 +343,8 @@ def _split_phases(h, dt):
 def _apply_split_step(amps, exp_v_half, exp_t):
     """One symmetric split step on C-contiguous (..., n) amplitudes, in place.
 
-    numpy.fft writes its transforms back into ``amps``; on the engine's
-    shapes they are the same bits as scipy.fft's.
+    numpy.fft, the package's only FFT, writes its transforms back into
+    ``amps``; tests/test_grid.py pins them to scipy.fft's bits.
     """
     if exp_v_half is not None:
         amps *= exp_v_half
@@ -585,13 +590,13 @@ def _boundary_masses(amps, grid):
 def spectral_derivative(psi, order=1):
     """order-th spatial derivative via the Fourier multiplier (i k)^order."""
     mult = (1j * psi.grid.k) ** order
-    out = scipy.fft.ifft(mult * scipy.fft.fft(psi.amplitudes))
+    out = np.fft.ifft(mult * np.fft.fft(psi.amplitudes))
     return WaveFunction(psi.grid, out, RAW)
 
 
 def nyquist_mass_fraction(psi):
     """Spectral mass fraction in the top decile of |k| (aliasing diagnostic)."""
-    spec = np.abs(scipy.fft.fft(psi.amplitudes)) ** 2
+    spec = np.abs(np.fft.fft(psi.amplitudes)) ** 2
     total = spec.sum()
     if not (total > 0):
         return 0.0

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from . import rng as rngmod
 from .diosi import HybridParams, diosi_ensemble, hybrid_ensemble
@@ -532,9 +531,9 @@ def check_condition_I_bound(phi, t_list, n_samples, seed, noise_scale=1.0):
         exponent = np.multiply.outer(xi, x)
         exponent -= t * x**2
         g = (np.exp(exponent) - 1.0) * phi.amplitudes[None, :]
-        gk = scipy.fft.fft(g, axis=1)
+        gk = np.fft.fft(g, axis=1)
         gk *= -(k**2)
-        lap = scipy.fft.ifft(gk, axis=1)
+        lap = np.fft.ifft(gk, axis=1)
         lhs = (lap.real**2 + lap.imag**2).sum(axis=1) * grid.dx
         mean, se = mean_se(lhs)
         rhs = _condition_rhs(phi, t)

@@ -1,9 +1,13 @@
-"""Config parsing, archive round trips, CSV exports, CLI determinism."""
+"""Config parsing, archive round trips, CSV exports, CLI determinism, a cold start
+without scipy."""
 
 import dataclasses
 import json
+import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -614,21 +618,39 @@ class TestCliDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "\n" not in err.strip()
 
-    @pytest.mark.parametrize("key, value", [("mu", "nan"), ("alpha", "inf"),
-                                            ("master_dt", "nan"), ("master_dt", "0"),
-                                            ("master_dt", "inf"), ("master_dt", "1e-12")])
-    def test_master_non_finite_input_fails_closed(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key, value, error", [
+        ("mu", "nan", "InvalidParameterError"),
+        ("alpha", "inf", "InvalidParameterError"),
+        ("master_dt", "nan", "InvalidParameterError"),
+        ("master_dt", "0", "InvalidParameterError"),
+        ("master_dt", "inf", "InvalidParameterError"),
+        ("master_dt", "1e-12", "InvalidParameterError"),  # t / dt over MAX_RK4_STEPS
+        ("master_dt", "0.4", "StepTooLargeError"),  # the step-halving check fails
+        ("n_points", "256", "InvalidParameterError"),  # over the master grid cap
+    ])
+    def test_master_non_finite_input_fails_closed(self, tmp_path, capsys, key, value, error):
+        # the master equation is solved before the output directory is made
         cfg_path = os.path.join(tmp_path, "m.cfg")
-        body = {"mu": "2.0", "alpha": "1.0", "master_dt": "2e-4", key: value}
+        body = {"mu": "2.0", "alpha": "1.0", "master_dt": "2e-4", "n_points": "32",
+                key: value}
         open(cfg_path, "w").write(
             "model = master\nmaster_model = grw\nseed = 5\nx_min = -12\n"
-            "x_max = 12\nn_points = 32\nt_max = 0.2\nsample_times = 0.2\n"
+            "x_max = 12\nt_max = 0.2\nsample_times = 0.2\n"
             + "".join(f"{k} = {v}\n" for k, v in body.items()))
         out = os.path.join(tmp_path, "o")
         assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: InvalidParameterError") and "\n" not in err.strip()
-        assert not os.path.exists(os.path.join(out, "master_rho.csv"))
+        assert err.startswith(f"error: {error}") and "\n" not in err.strip()
+        assert not os.path.exists(out)
+
+    def test_engine_error_leaves_no_directory(self, tmp_path, capsys):
+        # the Diosi flow's overflow guard raises inside the ensemble run
+        cfg_path = os.path.join(tmp_path, "d.cfg")
+        open(cfg_path, "w").write(DIOSI_CFG.replace("lambda = 1.0", "lambda = 1e4"))
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith("error: StepTooLargeError")
+        assert not os.path.exists(out)
 
     def test_master_run(self, tmp_path):
         text = """
@@ -684,3 +706,47 @@ master_dt = 2e-4
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and "workers" in err.lower()
         assert not os.path.exists(out)
+
+
+_COLD_START_SCRIPT = """
+import json, os, sys
+import collapsim
+from collapsim.archive import read_archive
+from collapsim.cli import main
+from collapsim.verify import check_flash_vs_increment
+
+out, configs = sys.argv[1], json.loads(sys.argv[2])
+for model, text in configs.items():
+    path = os.path.join(out, model + ".cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["simulate", "--config", path, "--output", os.path.join(out, model)]) == 0
+arc = os.path.join(out, "grw", "grw_archive.cldn")
+assert main(["export", "--archive", arc, "--time", "0.25",
+             "--output", os.path.join(out, "d.csv")]) == 0
+read_archive(arc)
+phi = collapsim.make_gaussian_packet(collapsim.Grid(64, -8.0, 8.0), 0.0, 1.0)
+check_flash_vs_increment(phi, 0.5, 4.0, 2, 200, 1)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from collapsim.stats import chi2_sf
+p = chi2_sf(3.0, 2)
+print(json.dumps({"scipy_before": loaded, "chi2_sf": p,
+                  "special_after": "scipy.special" in sys.modules}))
+"""
+
+
+def test_the_package_paths_run_without_loading_scipy(tmp_path):
+    # a fresh interpreter: simulate for every model, export, read an archive and
+    # run the flash check; only chi2_sf then loads scipy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    configs = {"grw": GRW_CFG, "diosi": DIOSI_CFG, "hybrid": HYBRID_CFG, "master": MASTER_CFG}
+    run = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, str(tmp_path),
+                          json.dumps(configs)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["scipy_before"] == []
+    assert result["chi2_sf"] == math.exp(-1.5)
+    assert result["special_after"]

@@ -47,8 +47,11 @@ from collapsim.grid import (
     _split_rows,
     _unitary_rows,
     hamiltonian_matrix,
+    kinetic_matrix,
+    nyquist_mass_fraction,
     position_moments,
     position_variance,
+    spectral_derivative,
 )
 
 # closed-form Gaussian integrals, mpmath quad to 30 digits
@@ -499,3 +502,33 @@ class TestPhasorsAndInPlaceStep:
         want = scipy.fft.ifft(scipy.fft.fft(amps * exp_v, axis=-1) * exp_t, axis=-1) * exp_v
         _apply_split_step(amps, exp_v, exp_t)
         assert amps.tobytes() == want.tobytes()
+
+
+class TestNumpyFftIsScipyFft:
+    """numpy.fft, the package's only FFT, gives the bits scipy.fft gives."""
+
+    @pytest.mark.parametrize("n", [2**p for p in range(3, 12)])
+    def test_kinetic_matrix(self, n):
+        grid = Grid(n, -16.0, 16.0)
+        mat = scipy.fft.ifft(
+            (0.5 * grid.k**2)[:, None] * scipy.fft.fft(np.eye(n, dtype=np.complex128), axis=0),
+            axis=0).real
+        assert np.array_equal(kinetic_matrix(grid), 0.5 * (mat + mat.T))
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 2048])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_spectral_derivative(self, n, order):
+        grid = Grid(n, -16.0, 16.0)
+        phi = WaveFunction(grid, _random_rows(grid, 1, n + order)[0])
+        want = scipy.fft.ifft((1j * grid.k) ** order * scipy.fft.fft(phi.amplitudes))
+        assert np.array_equal(spectral_derivative(phi, order).amplitudes, want)
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 2048])
+    def test_nyquist_mass_fraction(self, n):
+        grid = Grid(n, -16.0, 16.0)
+        phi = WaveFunction(grid, _random_rows(grid, 1, n)[0])
+        spec = np.abs(scipy.fft.fft(phi.amplitudes)) ** 2
+        kabs = np.abs(grid.k)
+        want = float(spec[kabs >= 0.9 * kabs.max()].sum() / spec.sum())
+        assert want > 0
+        assert nyquist_mass_fraction(phi) == want
