@@ -1,10 +1,10 @@
 """Command-line front end: simulate, verify, export.
 
-All artifacts are pure functions of (config, seed); the worker count comes
-from --workers (or the COLLAPSIM_WORKERS environment variable), caps the
-engine's threads and never affects results, only wall time.  On failure,
-partially written outputs are removed and a single machine-parsable error
-line goes to stderr.
+All artifacts are pure functions of (config, seed); --workers caps the
+engine's threads and never affects results, only wall time.  On failure
+(a ``CollapsimError``, or an ``OSError`` such as a missing config, archive
+or output directory), partially written outputs are removed, a single
+machine-parsable error line goes to stderr and the exit status is 2.
 """
 
 import argparse
@@ -17,11 +17,11 @@ from . import archive as archive_mod
 from .archive import _csv_line, _fmt
 from .config import ConfigError, RunConfig
 from .diosi import DiosiParams, HybridParams, diosi_ensemble, hybrid_ensemble
+from .engine import engine_threads
 from .errors import CollapsimError, InvalidParameterError
 from .grid import Grid, HamiltonianSpec, cosine_potential, make_gaussian_packet
 from .grw import GrwParams, grw_ensemble
 from .master import DensityMatrix, evolve_diosi_master, evolve_grw_master
-from .parallel import worker_count
 
 DEFAULT_VERIFY_SEED = 20260810
 
@@ -78,7 +78,7 @@ def run_simulate(cfg, out_dir, workers=None):
     the ensemble run, before the output directory is made: a failed run
     leaves no directory.  ``workers`` caps the engine's threads.
     """
-    worker_count(workers)
+    engine_threads(workers)
     grid = build_grid(cfg)
     phi0 = build_packet(cfg, grid)
     h = build_hamiltonian(cfg, grid)
@@ -178,8 +178,8 @@ def _build_parser():
     sim.add_argument("--config", required=True)
     sim.add_argument("--output", default=None, help="output directory")
     sim.add_argument("--workers", type=int, default=None,
-                     help="most engine threads to use (default: COLLAPSIM_WORKERS, "
-                          "else every usable core); results do not depend on it")
+                     help="most engine threads to use (default: every usable core); "
+                          "results do not depend on it")
 
     ver = sub.add_parser("verify", help="run the acceptance criteria")
     ver.add_argument("--config", default=None)
@@ -223,7 +223,7 @@ def main(argv=None):
             print(path)
             return 0
         raise ConfigError(f"unknown command {args.command!r}")
-    except CollapsimError as exc:
+    except (CollapsimError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -103,6 +103,8 @@ class RunConfig:
         if self.model == "diosi" and self.lam is None:
             raise ConfigError("diosi runs need lambda")
         if self.model == "master":
+            if not self.sample_times:
+                raise ConfigError("master runs need a sample time")
             kind = self.master_model
             if kind is None:
                 if self.lam is not None and self.mu is None:
@@ -161,8 +163,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        """Parse the config file at ``path``; ConfigError if it is not UTF-8 text."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        return cls.from_text(text)
 
     def canonical_text(self):
         """Deterministic rendering used for hashing and archive binding."""

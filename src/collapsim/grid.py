@@ -11,7 +11,7 @@ Each operation is defined once, on (rows, n) amplitude arrays: the squared
 norms ``_norm2_rows``, the unitary ``_unitary_rows`` (exp(-i tau_r H) with
 per-row durations), the flow ``_flow_rows`` with its overflow guard, the
 hit ``_hit_rows`` and ``_normalize_rows`` with its vanishing-state check.
-The Trotter engine in ``diosi`` applies them to its row blocks.  The
+The Trotter engine in ``engine`` applies them to its row blocks.  The
 single-state functions (``schrodinger_step``, ``evolve_unitary``,
 ``collapse_flow``, ``gaussian_hit``, ``normalize``, the moments and the
 boundary mass) check their arguments and then call the row operation on
@@ -28,18 +28,18 @@ W and W^T take 2 n^2 floats (4.2 MB at n = 512, 67 MB at n = 2048).  A row's byt
 do not depend on its batch: the GEMMs run on C-contiguous stacks of at
 least _MIN_GEMM_ROWS real rows.
 
-numpy.fft is the only FFT on the package's path: the split step,
-``kinetic_matrix``, ``spectral_derivative``, ``nyquist_mass_fraction`` and
-verify's Laplacian all use it, so importing the package loads no scipy
-module (only ``stats.chi2_sf`` and criterion 7's expm oracle import scipy,
-when called).  tests/test_grid.py pins numpy.fft's bits to scipy.fft's on
-every power-of-two grid from 8 to 2048 points.
+numpy is the package's only runtime dependency, and numpy.fft its only
+FFT: the split step, ``kinetic_matrix``, ``spectral_derivative``,
+``nyquist_mass_fraction``, verify's Laplacian and criterion 7's Taylor
+oracle all use it.  tests/test_grid.py pins numpy.fft's bits to
+scipy.fft's on every power-of-two grid from 8 to 2048 points.
 
 The split step ``_apply_split_step`` is the Diosi integrator's unitary, at
 the shared duration 1/R, and ``schrodinger_step``.  It works in place: the
 phase products write into the rows, and numpy.fft writes its transforms
 back into them, so a step allocates nothing.  The per-row phasors
-exp(-i dt V / 2) and exp(-i dt k^2 / 2) of ``_split_rows`` are formed by
+exp(-i dt V / 2) and exp(-i dt k^2 / 2) of ``_split_rows``, and the
+Diosi clock's shared ones (one row that broadcasts), are formed by
 ``_phasors`` as cos and sin written into the real and imaginary parts of
 one complex array, bit for bit the complex exponentials; k^2 is exactly
 mirror-even on the FFT grid, so the kinetic phasor is computed on the
@@ -331,20 +331,13 @@ def _normalize_rows(amps, n2, out=None):
     return np.divide(amps, np.sqrt(n2)[:, None], out=out)
 
 
-def _split_phases(h, dt):
-    """Potential-half and kinetic phase factors for one symmetric split step."""
-    exp_v_half = None
-    if not h.potential_is_zero:
-        exp_v_half = np.exp(-0.5j * dt * h.potential)
-    exp_t = np.exp(-0.5j * dt * h.grid.k2) if h.kinetic else None
-    return exp_v_half, exp_t
-
-
 def _apply_split_step(amps, exp_v_half, exp_t):
     """One symmetric split step on C-contiguous (..., n) amplitudes, in place.
 
-    numpy.fft, the package's only FFT, writes its transforms back into
-    ``amps``; tests/test_grid.py pins them to scipy.fft's bits.
+    The phasors broadcast against ``amps`` (a row each, or one row for
+    all), or are None for a term H lacks.  numpy.fft, the package's only
+    FFT, writes its transforms back into ``amps``; tests/test_grid.py pins
+    them to scipy.fft's bits.
     """
     if exp_v_half is not None:
         amps *= exp_v_half
@@ -420,9 +413,9 @@ def _unitary_rows(amps, h, tau, phases=None):
     """exp(-i tau H) on the rows of amps; returns the evolved array.
 
     ``tau`` is either a float, for one split step of every row with the
-    precomputed ``phases`` (``_split_phases``), or an array of per-row
-    durations, applied exactly: one split step when H has one term, else
-    ``_eigen_rows``.  A row with tau_r = 0 is left as it is.  Rows of
+    precomputed ``phases`` (the two phasors of ``_apply_split_step``), or
+    an array of per-row durations, applied exactly: one split step when H
+    has one term, else ``_eigen_rows``.  A row with tau_r = 0 is left as it is.  Rows of
     ``amps`` may be overwritten.
     """
     if h.is_zero:

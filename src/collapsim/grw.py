@@ -7,8 +7,8 @@ which is sampled exactly in two stages: a grid position from |psi|^2 dx,
 plus independent Normal(0, 1/(2 alpha)) noise.  The two-stage law equals
 the convolution density by construction.
 
-Trajectories are ``diosi._records`` on the jump clock the hybrid process
-also runs on (``diosi._jump_schedule``): Exp(1) waits X_k in the rng
+Trajectories are ``engine._records`` on the jump clock the hybrid process
+also runs on (``engine._jump_schedule``): Exp(1) waits X_k in the rng
 layout and jump times T_k = X_1 / mu + ... + X_k / mu.  Factor k is the
 exact unitary of duration X_k / mu (``grid._unitary_rows``) followed by
 the hit factor (``_hit_factor``), which draws each row's center from that
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from . import rng as rngmod
-from .diosi import _jump_schedule, _records
 from .errors import DegenerateStateError, InvalidParameterError
 from .grid import (
     BOUNDARY_MASS_LIMIT,
@@ -113,7 +113,7 @@ def _flash_draws(seed, indices, n_hits):
 
 
 def _hit_factor(grid, alpha, uniforms, normals):
-    """The Gaussian hit as a ``diosi._records`` factor for the rows of one block.
+    """The Gaussian hit as an ``engine._records`` factor for the rows of one block.
 
     ``uniforms`` and ``normals`` hold the block's rows of ``_flash_draws``:
     hit k of row r uses uniforms[r, k] and normals[r, k].  Returns (hit,
@@ -140,9 +140,9 @@ def _hit_factor(grid, alpha, uniforms, normals):
 
 def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=False,
                  workers=None):
-    """GRW spec: the Trajectories of the jump indices lo .. hi-1, one ``_records`` call.
+    """GRW spec: the Trajectories of the jump indices lo .. hi-1, one ``engine._records`` call.
 
-    The clock is ``diosi._jump_schedule`` up to t_max (every wait X_k = 1
+    The clock is ``engine._jump_schedule`` up to t_max (every wait X_k = 1
     when ``deterministic``), the factor ``_hit_factor``, and the weights
     are 1.  Every jump is a factor, including those after the last sample
     time, whose flashes are recorded too.  Without ``store_states`` the rows
@@ -151,12 +151,14 @@ def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=Fals
     indices = range(lo, hi)
     # one more column at t_max, after every jump, runs the jumps that follow
     # the last sample time; it takes no snapshot
-    _, taus, _, _ = clock = _jump_schedule(
+    _, taus, _, _ = clock = engine._jump_schedule(
         seed, indices, p.mu, p.sample_times + (p.t_max,), p.t_max, deterministic)
     uniforms, normals = _flash_draws(seed, indices, taus.shape[1])
-    return _records(phi0, h, seed, indices, p.sample_times, clock, lambda b0, b1: _hit_factor(
-        phi0.grid, p.alpha, uniforms[b0:b1], normals[b0:b1]), store_states, workers,
-        unit_weights=True)
+    def factor(b0, b1):
+        return _hit_factor(phi0.grid, p.alpha, uniforms[b0:b1], normals[b0:b1])
+
+    return engine._records(phi0, h, seed, indices, p.sample_times, clock, factor, store_states,
+                           workers, unit_weights=True)
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):
@@ -175,6 +177,6 @@ def grw_trajectory(phi0, h, p, seed, index=0):
 def grw_ensemble(phi0, h, p, seed, n_trajectories, workers=None):
     """Independent trajectories with indices 0 .. n-1, as one Trajectories.
 
-    One engine call; ``workers`` caps its threads (``parallel.engine_threads``).
+    One engine call; ``workers`` caps its threads (``engine.engine_threads``).
     """
     return _grw_records(phi0, h, p, seed, 0, int(n_trajectories), workers=workers)

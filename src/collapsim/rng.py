@@ -29,7 +29,7 @@ R / M fine cells, so processes at different resolutions share one path.
 Waits.  Exp(1) wait k of trajectory t is value k % 256 (EXPONENTIAL_BLOCK)
 of the standard exponentials of stream (seed, t, ROLE_JUMP_TIMES, k // 256).
 Every jump process reads its waits so: the GRW and hybrid processes run on
-the one jump clock ``diosi._jump_schedule``, whose jump times are the
+the one jump clock ``engine._jump_schedule``, whose jump times are the
 running sums of wait k times 1/mu.
 
 Row draws.  ``fill_rows`` gives row r values start .. start + K - 1 of

@@ -1,9 +1,8 @@
-"""Config parsing, archive round trips, CSV exports, CLI determinism, a cold start
-without scipy."""
+"""Config parsing, archive round trips, CSV exports, CLI determinism, inputs that
+fail closed, and the package paths run without scipy."""
 
 import dataclasses
 import json
-import math
 import os
 import struct
 import subprocess
@@ -689,28 +688,69 @@ master_dt = 2e-4
             assert fh.read() == want
 
     @pytest.mark.parametrize("model", ["diosi", "master", "grw"])
-    @pytest.mark.parametrize("env, flag, error", [
-        ("abc", [], "ConfigError"),
-        (None, ["--workers", "0"], "InvalidParameterError")])
-    def test_bad_worker_count_fails_before_output(self, tmp_path, capsys, monkeypatch,
-                                                  model, env, flag, error):
+    def test_bad_worker_count_fails_before_output(self, tmp_path, capsys, model):
         text = {"diosi": DIOSI_CFG, "master": MASTER_CFG, "grw": GRW_CFG}[model]
         cfg_path = os.path.join(tmp_path, "w.cfg")
         open(cfg_path, "w").write(text)
-        if env is None:
-            monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("COLLAPSIM_WORKERS", env)
         out = os.path.join(tmp_path, "o")
-        assert main(["simulate", "--config", cfg_path, "--output", out] + flag) == 2
+        assert main(["simulate", "--config", cfg_path, "--output", out, "--workers", "0"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {error}: ") and "workers" in err.lower()
+        assert err.startswith("error: InvalidParameterError: ") and "workers" in err.lower()
         assert not os.path.exists(out)
 
 
-_COLD_START_SCRIPT = """
+class TestCliInputsFailClosed:
+    """A missing or unreadable input ends with one error line, exit 2 and no output."""
+
+    @staticmethod
+    def fails(capsys, argv, error, absent):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not os.path.exists(absent)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_missing_config(self, tmp_path, capsys, command):
+        out = os.path.join(tmp_path, "o")
+        self.fails(capsys, [command, "--config", os.path.join(tmp_path, "none.cfg"),
+                            "--output", out], "FileNotFoundError", out)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        cfg_path = os.path.join(tmp_path, "latin1.cfg")
+        with open(cfg_path, "wb") as fh:
+            fh.write((GRW_CFG + "# caf\xe9\n").encode("latin-1"))
+        out = os.path.join(tmp_path, "o")
+        self.fails(capsys, [command, "--config", cfg_path, "--output", out], "ConfigError", out)
+
+    def test_missing_archive(self, tmp_path, capsys):
+        dest = os.path.join(tmp_path, "d.csv")
+        self.fails(capsys, ["export", "--archive", os.path.join(tmp_path, "none.cldn"),
+                            "--time", "0.25", "--output", dest], "FileNotFoundError", dest)
+
+    def test_export_into_a_missing_directory(self, tmp_path, capsys):
+        run_simulate(RunConfig.from_text(GRW_CFG), str(tmp_path))
+        missing = os.path.join(tmp_path, "missing")
+        self.fails(capsys, ["export", "--archive", os.path.join(tmp_path, "grw_archive.cldn"),
+                            "--time", "0.25", "--output", os.path.join(missing, "x.csv")],
+                   "FileNotFoundError", missing)
+
+    def test_master_run_without_a_sample_time(self, tmp_path, capsys):
+        text = MASTER_CFG.replace("sample_times = 0.2", "sample_times =")
+        with pytest.raises(ConfigError, match="sample time"):
+            RunConfig.from_text(text)
+        cfg_path = os.path.join(tmp_path, "m.cfg")
+        open(cfg_path, "w").write(text)
+        out = os.path.join(tmp_path, "o")
+        self.fails(capsys, ["simulate", "--config", cfg_path, "--output", out], "ConfigError", out)
+
+
+_NO_SCIPY_SCRIPT = """
 import json, os, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import collapsim
+from collapsim.acceptance import criterion_7
 from collapsim.archive import read_archive
 from collapsim.cli import main
 from collapsim.verify import check_flash_vs_increment
@@ -727,26 +767,19 @@ assert main(["export", "--archive", arc, "--time", "0.25",
 read_archive(arc)
 phi = collapsim.make_gaussian_packet(collapsim.Grid(64, -8.0, 8.0), 0.0, 1.0)
 check_flash_vs_increment(phi, 0.5, 4.0, 2, 200, 1)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-from collapsim.stats import chi2_sf
-p = chi2_sf(3.0, 2)
-print(json.dumps({"scipy_before": loaded, "chi2_sf": p,
-                  "special_after": "scipy.special" in sys.modules}))
+print(json.dumps({"criterion_7": criterion_7(1).passed}))
 """
 
 
-def test_the_package_paths_run_without_loading_scipy(tmp_path):
-    # a fresh interpreter: simulate for every model, export, read an archive and
-    # run the flash check; only chi2_sf then loads scipy
+def test_the_package_paths_run_without_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported: simulate for every
+    # model, export, read an archive, run the flash check and criterion 7
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     configs = {"grw": GRW_CFG, "diosi": DIOSI_CFG, "hybrid": HYBRID_CFG, "master": MASTER_CFG}
-    run = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, str(tmp_path),
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path),
                           json.dumps(configs)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.splitlines()[-1])
-    assert result["scipy_before"] == []
-    assert result["chi2_sf"] == math.exp(-1.5)
-    assert result["special_after"]
+    assert json.loads(run.stdout.splitlines()[-1]) == {"criterion_7": True}

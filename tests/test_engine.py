@@ -36,7 +36,7 @@ from collapsim import (
     sample_flash_center,
 )
 import collapsim
-from collapsim import diosi, parallel
+from collapsim import engine
 from collapsim.errors import DegenerateStateError, InvalidParameterError, StepTooLargeError
 from collapsim.grid import (
     BOUNDARY_MASS_LIMIT,
@@ -97,8 +97,8 @@ def test_batch_row_is_batch_of_one(seed, first, n, block_rows, h_name, packet,
     dp = DiosiParams(1.0, 64, 0.25, times)
     # GRW at lam = 1 (alpha = 2 lam / mu), with jumps after the last sample time
     gp = GrwParams(mu, 2.0 / mu, 0.3, times)
-    with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
-            mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
+    with mock.patch.object(engine, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
+            mock.patch.object(engine, "engine_threads", lambda workers=None: threads):
         hyb = hybrid_ensemble(phi, h, hp, seed, n, store_states=store_states,
                               workers=workers)
         dio = diosi_ensemble(phi, h, dp, seed, n, store_states=store_states,
@@ -116,7 +116,7 @@ def test_rows_straddling_the_real_block_size():
     grid = Grid(256, -20.0, 20.0)
     phi = make_gaussian_packet(grid, 0.0, 1.0)
     h = HamiltonianSpec(grid, cosine_potential(grid, 0.5))
-    rows = diosi._BLOCK_AMPLITUDES // grid.n_points
+    rows = engine._BLOCK_AMPLITUDES // grid.n_points
     hp = HybridParams(1.0, 16.0, 0.25, (0.125, 0.25))
     dp = DiosiParams(1.0, 32, 0.25, (0.125, 0.25))
     gp = GrwParams(16.0, 0.125, 0.25, (0.125, 0.25))
@@ -151,7 +151,7 @@ COS_RUNS = {
                lambda i: hybrid_trajectory(COS_PHI, COS_H,
                                            HybridParams(1.0, 4.0, 0.5, (0.125, 0.5)), 82, index=i)),
 }
-COS_BLOCK_ROWS = diosi._BLOCK_AMPLITUDES // COS_GRID.n_points
+COS_BLOCK_ROWS = engine._BLOCK_AMPLITUDES // COS_GRID.n_points
 
 
 @pytest.mark.parametrize("process", sorted(COS_RUNS))
@@ -162,7 +162,7 @@ def test_cos_rows_do_not_depend_on_batch_block_or_threads(process, n):
     ensemble, single = COS_RUNS[process]
     runs = []
     for threads in (1, 2):
-        with mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
+        with mock.patch.object(engine, "engine_threads", lambda workers=None: threads):
             runs.append(ensemble(n))
     one, two = runs
     assert _array_hash(one) == _array_hash(two)
@@ -212,8 +212,8 @@ def test_ensemble_bytes_do_not_depend_on_the_blas_threads():
 
 
 def run_on_threads(threads, block_rows, run):
-    with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
-            mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
+    with mock.patch.object(engine, "_BLOCK_AMPLITUDES", block_rows * GRID.n_points), \
+            mock.patch.object(engine, "engine_threads", lambda workers=None: threads):
         return run()
 
 
@@ -256,7 +256,7 @@ def test_diosi_blocks_draw_on_generators_of_their_own():
     p = DiosiParams(1.0, 4096, 0.25, (0.25,))
 
     def run(threads):
-        with mock.patch.object(diosi, "_MAX_INCREMENT_ELEMENTS", 64):
+        with mock.patch.object(engine, "_MAX_INCREMENT_ELEMENTS", 64):
             return run_on_threads(threads, 1, lambda: diosi_ensemble(
                 PACKETS["centre"], HAMILTONIANS["zero"], p, 75, 6, store_states=False)).weights
 
@@ -272,9 +272,9 @@ def test_diosi_blocks_draw_on_generators_of_their_own():
 
 def test_blocks_come_back_in_order_on_every_thread_count():
     for threads in (1, 2, 3, 8):
-        with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", 2 * GRID.n_points), \
-                mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
-            assert diosi._in_blocks(11, GRID.n_points, lambda lo, hi: (lo, hi)) == [
+        with mock.patch.object(engine, "_BLOCK_AMPLITUDES", 2 * GRID.n_points), \
+                mock.patch.object(engine, "engine_threads", lambda workers=None: threads):
+            assert engine._in_blocks(11, GRID.n_points, lambda lo, hi: (lo, hi)) == [
                 (0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11)]
 
 
@@ -292,10 +292,10 @@ def test_the_lowest_failing_block_raises_after_every_thread_ends():
 
     before = threading.active_count()
     for threads in (1, 2, 3, 6):
-        with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", GRID.n_points), \
-                mock.patch.object(parallel, "engine_threads", lambda workers=None: threads):
+        with mock.patch.object(engine, "_BLOCK_AMPLITUDES", GRID.n_points), \
+                mock.patch.object(engine, "engine_threads", lambda workers=None: threads):
             with pytest.raises(DegenerateStateError, match="block 2"):
-                diosi._in_blocks(6, GRID.n_points, block)
+                engine._in_blocks(6, GRID.n_points, block)
         assert threading.active_count() == before
 
 
@@ -305,7 +305,7 @@ def test_an_engine_error_in_a_later_block_is_the_serial_error(threads):
     # 2 and 3 threads put them in different groups
     p = HybridParams(1.0, 4.0, 0.5, (0.5,), deterministic_times=True)
     marked = {wiener_cells(74, i, 4.0, 0, 1)[0]: i for i in (3, 6)}
-    flow_rows = diosi._flow_rows
+    flow_rows = engine._flow_rows
 
     def overflowing(amps, grid, lam, dt, dxi, out=None, buf=None):
         for x in dxi:
@@ -318,7 +318,7 @@ def test_an_engine_error_in_a_later_block_is_the_serial_error(threads):
     errors = {}
     before = threading.active_count()
     for t in (1, threads):
-        with mock.patch.object(diosi, "_flow_rows", overflowing):
+        with mock.patch.object(engine, "_flow_rows", overflowing):
             with pytest.raises(StepTooLargeError) as info:
                 run_on_threads(t, 1, lambda: hybrid_ensemble(
                     PACKETS["centre"], HAMILTONIANS["free"], p, 74, 8, workers=1))
@@ -335,7 +335,7 @@ def test_diosi_wiener_chunks_ending_inside_blocks(chunk_elements):
     phi = PACKETS["centre"]
     p = DiosiParams(1.0, 4096, 3.0, (1.0, 3.0))
     whole = diosi_ensemble(phi, HAMILTONIANS["cos"], p, 29, 5, store_states=False)
-    with mock.patch.object(diosi, "_MAX_INCREMENT_ELEMENTS", chunk_elements):
+    with mock.patch.object(engine, "_MAX_INCREMENT_ELEMENTS", chunk_elements):
         chunked = diosi_ensemble(phi, HAMILTONIANS["cos"], p, 29, 5, store_states=False)
         pure = diosi_ensemble(phi, HAMILTONIANS["zero"], p, 29, 5, store_states=False)
     for a, b in zip(whole, chunked):

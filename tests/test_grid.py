@@ -43,7 +43,6 @@ from collapsim.grid import (
     _norm2_rows,
     _normalize_rows,
     _phasors,
-    _split_phases,
     _split_rows,
     _unitary_rows,
     hamiltonian_matrix,
@@ -497,7 +496,8 @@ class TestPhasorsAndInPlaceStep:
     def test_in_place_step_is_the_scipy_step(self, n, rows):
         grid = Grid(n, -16.0, 16.0)
         h = _hamiltonian(grid, "cos")
-        exp_v, exp_t = _split_phases(h, 1.0 / 64.0)
+        dt = np.array([1.0 / 64.0])
+        exp_v, exp_t = _phasors(dt, h.potential), _phasors(dt, grid.k2, even=True)
         amps = _random_rows(grid, rows, n + rows)
         want = scipy.fft.ifft(scipy.fft.fft(amps * exp_v, axis=-1) * exp_t, axis=-1) * exp_v
         _apply_split_step(amps, exp_v, exp_t)

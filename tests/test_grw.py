@@ -21,7 +21,7 @@ from collapsim.errors import DegenerateStateError, InvalidParameterError
 from collapsim.grid import WaveFunction, normalize
 from collapsim.grw import _grw_records
 from collapsim.rng import ROLE_FLASH_NOISE, ROLE_FLASH_POSITION
-from collapsim.stats import ks_1samp, normal_cdf, poisson_chi2_gof
+from gof import ks_1samp, normal_cdf, poisson_chi2_gof
 from reference import jump_times, stream
 
 # mpmath oracle: N(0.4; 0, 1 + 1/(2*2)) for |psi|^2 = N(0,1), alpha = 2

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsim import diosi, parallel
-from collapsim.diosi import _waiting_times
+from collapsim import engine
+from collapsim.engine import _waiting_times
 from collapsim.errors import InvalidParameterError
 from collapsim.rng import (
     _VECTOR_ROW_LIMIT,
@@ -190,10 +190,10 @@ def test_rows_drawn_on_two_engine_threads_equal_the_oracle():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        with mock.patch.object(parallel, "engine_threads", lambda workers=None: 2):
+        with mock.patch.object(engine, "engine_threads", lambda workers=None: 2):
             for _ in range(3):
                 for (m, k), rows in want.items():
-                    got = diosi._in_blocks(640, 256, lambda lo, hi: fill_rows(
+                    got = engine._in_blocks(640, 256, lambda lo, hi: fill_rows(
                         keys[lo:hi], m, np.empty((hi - lo, k))))
                     assert len(got) == 10 and _bytes_equal(np.vstack(got), rows)
     finally:

@@ -1,4 +1,5 @@
-"""KS and chi-square internals, tested against closed-form small cases."""
+"""KS and chi-square statistics, the package's and tests/gof.py's, tested against
+closed-form small cases."""
 
 import math
 
@@ -6,17 +7,8 @@ import numpy as np
 import pytest
 
 from collapsim.errors import InvalidParameterError
-from collapsim.stats import (
-    chi2_sf,
-    effective_sample_size,
-    exponential_cdf,
-    kolmogorov_sf,
-    ks_1samp,
-    ks_2samp,
-    ks_statistic,
-    normal_cdf,
-    poisson_chi2_gof,
-)
+from collapsim.stats import effective_sample_size, kolmogorov_sf, ks_2samp, ks_statistic
+from gof import chi2_sf, exponential_cdf, ks_1samp, normal_cdf, poisson_chi2_gof
 
 # Kolmogorov survival values frozen from the dual theta-series
 # sf(x) = 1 - sqrt(2 pi)/x sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)), mpmath 30 digits

@@ -21,15 +21,14 @@ from collapsim import (
     make_gaussian_packet,
     reweight_ensemble,
 )
-from collapsim import diosi, parallel
+from collapsim import engine
 from collapsim.archive import read_archive, write_archive
 from collapsim.config import RunConfig
 from collapsim.diosi import _hybrid_records
-from collapsim.errors import ArchiveError, ConfigError, InvalidParameterError
+from collapsim.errors import ArchiveError, InvalidParameterError
 from collapsim.grid import cosine_potential, position_moments
 from collapsim.grw import _grw_records
 from collapsim.master import ensemble_density_se
-from collapsim.parallel import worker_count
 from collapsim.records import Trajectories, WeightedEnsemble
 
 GRID = Grid(64, -12.0, 12.0)
@@ -62,7 +61,7 @@ SLICES = {
 def test_joined_slices_are_one_call(process):
     # blocks of 3 rows inside each slice; the slices [0, 2) and [2, 12) have
     # different flash widths, and both hold rows without flashes
-    with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", 3 * GRID.n_points):
+    with mock.patch.object(engine, "_BLOCK_AMPLITUDES", 3 * GRID.n_points):
         head, tail, whole = (SLICES[process](lo, hi) for lo, hi in ((0, 2), (2, 12), (0, 12)))
     assert head.n_flashes.max() != tail.n_flashes.max()
     assert 0 in head.n_flashes and 0 in tail.n_flashes
@@ -160,24 +159,12 @@ def test_reweight_is_the_per_row_stack(source, tmp_path):
 
 
 class TestWorkerCount:
-    def test_default_argument_and_environment(self, monkeypatch):
-        monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
-        assert worker_count() == 1 and worker_count(3) == 3
-        monkeypatch.setenv("COLLAPSIM_WORKERS", "2")
-        assert worker_count() == 2 and worker_count(1) == 1
-
     @pytest.mark.parametrize("workers", [0, -5])
     def test_count_below_one_is_rejected(self, workers):
         with pytest.raises(InvalidParameterError, match="workers"):
-            worker_count(workers)
-
-    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
-    def test_environment_that_is_not_a_positive_integer_is_rejected(self, env, monkeypatch):
-        monkeypatch.setenv("COLLAPSIM_WORKERS", env)
-        with pytest.raises(ConfigError, match="COLLAPSIM_WORKERS"):
-            worker_count()
-        with pytest.raises(ConfigError):
-            hybrid_ensemble(PHI, H, HYBRID, 7, 4)
+            engine.engine_threads(workers)
+        with pytest.raises(InvalidParameterError, match="workers"):
+            hybrid_ensemble(PHI, H, HYBRID, 7, 4, workers=workers)
 
     def test_pool_of_two_is_one_call(self):
         assert_same_bytes(hybrid_ensemble(PHI, H, HYBRID, 7, 9, workers=2),
@@ -196,35 +183,28 @@ BLOCK_RUNS = {
 class TestEngineThreads:
     """The engine threads are the usable cores, capped at the worker count when one is set."""
 
-    @pytest.mark.parametrize("cores,workers,env,threads", [
-        (1, None, None, 1), (2, None, None, 2), (4, None, None, 4), (2, 1, None, 1),
-        (4, 2, None, 2), (2, 3, None, 2), (4, None, "3", 3), (4, 1, "3", 1), (2, None, "8", 2)])
-    def test_workers_cap_the_usable_cores(self, cores, workers, env, threads, monkeypatch):
-        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cores)),
+    @pytest.mark.parametrize("cores,workers,threads", [
+        (1, None, 1), (2, None, 2), (4, None, 4), (2, 1, 1), (4, 2, 2), (2, 3, 2)])
+    def test_workers_cap_the_usable_cores(self, cores, workers, threads, monkeypatch):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
-        if env is None:
-            monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("COLLAPSIM_WORKERS", env)
-        assert parallel.engine_threads(workers) == threads
+        assert engine.engine_threads(workers) == threads
 
     @pytest.mark.parametrize("process", sorted(BLOCK_RUNS))
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_an_ensemble_runs_its_blocks_on_at_most_workers_threads(self, workers, process,
-                                                                    monkeypatch):
+    def test_an_ensemble_runs_its_blocks_on_at_most_workers_threads(self, workers, process):
         # 8 blocks of one row; each block's unitaries record the thread that ran it
-        monkeypatch.delenv("COLLAPSIM_WORKERS", raising=False)
         seen = set()
-        unitary = diosi._unitary_rows
+        unitary = engine._unitary_rows
 
         def recording(*args, **kwargs):
             seen.add(threading.get_ident())
             return unitary(*args, **kwargs)
 
-        with mock.patch.object(diosi, "_BLOCK_AMPLITUDES", GRID.n_points), \
-                mock.patch.object(diosi, "_unitary_rows", recording):
+        with mock.patch.object(engine, "_BLOCK_AMPLITUDES", GRID.n_points), \
+                mock.patch.object(engine, "_unitary_rows", recording):
             got = BLOCK_RUNS[process](workers)
-        assert 1 <= len(seen) <= min(workers, parallel._usable_cores())
+        assert 1 <= len(seen) <= min(workers, engine.engine_threads())
         if workers == 1:
             assert len(seen) == 1
         assert_same_bytes(got, BLOCK_RUNS[process]())
