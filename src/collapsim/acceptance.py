@@ -36,7 +36,7 @@ from .grid import (
     norm2,
     schrodinger_step,
 )
-from .grw import GrwParams, grw_ensemble
+from .grw import GrwParams, grw_ensemble, grw_trajectory
 from .master import (
     DensityMatrix,
     density_max_gap,
@@ -380,21 +380,41 @@ sample_times = 0.25, 0.5
 n_trajectories = 40
 """
 
+# the GRW config under cos V with 300 rows: three row blocks (128, 128 and 44
+# rows), each a GEMM of the eigenbasis unitary
+_REPRO_CONFIG_GRW_COS = _REPRO_CONFIG_GRW.replace(
+    "n_trajectories = 40", "potential = cos\nn_trajectories = 300")
+
+# the cos-V GRW rows rerun as batches of one: the first and last rows, both
+# sides of the first block boundary, and a row inside each of the first two blocks
+_REPRO_ROWS = (0, 1, 127, 128, 150, 299)
+
 
 def _sha_file(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _row_bytes(row):
+    """A TrajectoryRecord's states (as complex64), weights, flag and flashes, as bytes."""
+    states = np.array([s.amplitudes for s in row.states]).astype(np.complex64)
+    flashes = np.array([(f.time, f.center, f.pre_collapse_norm2) for f in row.flashes])
+    return (states.tobytes() + row.weights.tobytes() + bytes([row.boundary_flag])
+            + flashes.tobytes())
+
+
 @_timed
 def criterion_8(seed):
-    """Byte-identical artifacts across reruns and worker counts."""
-    from .cli import run_simulate
+    """Byte-identical artifacts across reruns and worker counts, and rows of a
+    pooled archive equal to the same rows run as batches of one."""
+    from .archive import read_archive
+    from .cli import build_grid, build_hamiltonian, build_packet, _model_params, run_simulate
 
     subchecks = {}
     details = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, text in [("hybrid", _REPRO_CONFIG), ("grw", _REPRO_CONFIG_GRW)]:
+        for label, text in [("hybrid", _REPRO_CONFIG), ("grw", _REPRO_CONFIG_GRW),
+                            ("grw_cos", _REPRO_CONFIG_GRW_COS)]:
             cfg = RunConfig.from_text(text)
             hashes = {}
             for workers in (1, 2):
@@ -404,6 +424,14 @@ def criterion_8(seed):
                                    for p in paths}
             subchecks[f"{label}_archive_workers"] = hashes[1] == hashes[2]
             details[f"{label}_hashes"] = hashes[1]
+        pooled = read_archive(os.path.join(tmp, "grw_cos_w2", "grw_archive.cldn")).records
+
+    grid = build_grid(cfg)  # cfg is the loop's last config, grw_cos
+    phi0, h, params = build_packet(cfg, grid), build_hamiltonian(cfg, grid), _model_params(cfg)
+    differ = [i for i in _REPRO_ROWS if _row_bytes(pooled[i]) != _row_bytes(
+        grw_trajectory(phi0, h, params, cfg.seed, i))]
+    subchecks["grw_cos_rows_are_batches_of_one"] = not differ
+    details["grw_cos_rows_differing"] = differ
 
     grid = Grid(128, -16.0, 16.0)
     phi0 = make_gaussian_packet(grid, 0.0, 1.0)

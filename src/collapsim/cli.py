@@ -5,6 +5,9 @@ engine's threads and never affects results, only wall time.  On failure
 (a ``CollapsimError``, or an ``OSError`` such as a missing config, archive
 or output directory), partially written outputs are removed, a single
 machine-parsable error line goes to stderr and the exit status is 2.
+A master run writes rho at its last sample time; when the config lists
+earlier ones, ``simulate`` says on one stderr line which time it wrote
+and which it did not.
 """
 
 import argparse
@@ -205,6 +208,10 @@ def main(argv=None):
             paths = run_simulate(cfg, out, workers=args.workers)
             for p in paths:
                 print(p)
+            if cfg.model == "master" and len(cfg.sample_times) > 1:
+                *skipped, t = map(str, cfg.sample_times)
+                print(f"note: master_rho.csv holds rho at t = {t} only; "
+                      f"sample times not written: {', '.join(skipped)}", file=sys.stderr)
             return 0
         if args.command == "verify":
             seed, criteria, out = args.seed, None, args.output

@@ -4,7 +4,10 @@ Each process is a clock times a factor, run by ``engine._records`` (see
 ``engine`` for the product, its row blocks and threads, and the one
 boundary-flag rule).  The hybrid shares the jump clock of GRW
 (``grw``), ``engine._jump_schedule``; only the factor applied at a jump
-differs.
+differs.  A factor is ``factor(b0, b1, flags) -> step``; both factors
+here give ``engine._flow_step`` over the block's increments and leave
+the flags to the engine.  The hybrid owns its (N, K) flash centers, the
+rescaled increments, and passes them to ``engine._records``.
 
 * Diosi, the linear diffusion under the reference measure,
 
@@ -135,7 +138,6 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, workers=None):
     (mu / (2 sqrt(lam))) dxi.
     """
     indices = list(range(lo, hi))
-    n_rows = len(indices)
     base = p.wiener_resolution if p.wiener_resolution is not None else p.mu
     wiener = rngmod.WienerRows(seed, indices, base)  # validates the resolution
     ratio = rngmod.coarse_ratio(base, p.mu)
@@ -148,7 +150,7 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, workers=None):
     n_factors = taus.shape[1]
     # rows with the same number of flows read their cells together, at
     # most engine._MAX_INCREMENT_ELEMENTS at a time
-    dxis = np.zeros((n_rows, n_factors))
+    dxis = np.zeros(taus.shape)
     for n in np.unique(n_flashes[n_flashes > 0]):
         same = np.flatnonzero(n_flashes == n)
         step = max(1, engine._MAX_INCREMENT_ELEMENTS // (n * ratio))
@@ -157,11 +159,13 @@ def _hybrid_records(phi0, h, p, seed, store_states, lo, hi, workers=None):
             dxis[rows, :n] = rngmod.coarse_sums(
                 wiener.fill(rows, 0, np.empty((rows.size, n * ratio))), ratio)
     centers = (p.mu / (2.0 * math.sqrt(p.lam))) * dxis
-    def factor(b0, b1):
-        return engine._flow_factor(phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[b0:b1, k0:k1],
-                                   n_factors, b1 - b0, centers[b0:b1])
 
-    return engine._records(phi0, h, seed, indices, times, clock, factor, store_states, workers)
+    def factor(b0, b1, flags):
+        return engine._flow_step(phi0.grid, p.lam, dt_cell, lambda k0, k1: dxis[b0:b1, k0:k1],
+                                 n_factors, b1 - b0, flashes=True)
+
+    return engine._records(phi0, h, seed, indices, times, clock, factor, centers, store_states,
+                           workers)
 
 
 def diosi_trajectory(phi0, h, p, seed, index=0, store_states=True):
@@ -193,14 +197,14 @@ def diosi_ensemble(phi0, h, p, seed, n_trajectories, store_states=True,
     steps = np.array(_snap_steps(p.sample_times, res), dtype=np.int64)
     indices = list(range(first_index, first_index + n_trajectories))
 
-    def factor(b0, b1):
+    def factor(b0, b1, flags):
         wiener = rngmod.WienerRows(seed, indices[b0:b1], res)  # one key cache per block
-        return engine._flow_factor(phi0.grid, p.lam, dt, lambda k0, k1: wiener.fill(
+        return engine._flow_step(phi0.grid, p.lam, dt, lambda k0, k1: wiener.fill(
             slice(None), k0, np.empty((b1 - b0, k1 - k0))), int(steps.max(initial=0)), b1 - b0)
 
     clock = None, dt, np.tile(steps, (len(indices), 1)), None
     return engine._records(phi0, h, seed, indices, p.sample_times, clock, factor,
-                           store_states, workers)
+                           store_states=store_states, workers=workers)
 
 
 def hybrid_trajectory(phi0, h, p, seed, index=0, store_states=True):

@@ -3,12 +3,12 @@
 The paper's stochastic Trotter formula is an alternating product of
 unitary factors exp(-i tau H) and multiplicative collapse factors.
 ``_records`` applies it to a batch of trajectories held as an (N, n)
-amplitude array, worked through in row blocks of about 2^14 amplitudes,
-and builds each block's ``records.Trajectories`` (weights (N, T), states
-(N, T, n), boundary flags, and the flashes flattened from the padded
-(N, K) factor arrays); the blocks are joined with ``Trajectories.concat``.
-That type is what every simulation entry point returns and what the
-archive stores.
+amplitude array, worked through in row blocks of about 2^14 amplitudes.
+It allocates the call's arrays once (weights (N, T), states (N, T, n),
+boundary flags (N,) and the padded (N, K) flash norms); each row block
+writes its own rows of them, and the flashes are flattened once, after
+the blocks, into the one ``records.Trajectories`` of the call.  That type
+is what every simulation entry point returns and what the archive stores.
 
 A process is a clock times a factor.  The clock is (jump_times, tau,
 counts, residual): each row's unitary durations tau_r, each applied
@@ -17,19 +17,22 @@ when V and the kinetic term are both present, one phase step otherwise),
 its number of factors before each sample time and its residual unitary
 up to it.  The Diosi clock alone shares one duration 1/R between all
 factors and rows; its unitary is one split step with shared phases, the
-second-order integrator of its equation.  The factor gives, per row
-block, a step that acts in place on the evolved rows of factor k and
-gives back their raw squared norms (for the flashes), the flash centers
-and the block's boundary flags.  At a sample time the engine records the
+second-order integrator of its equation.  The factor is one function,
+``factor(b0, b1, flags) -> step``: for the rows b0 .. b1-1 of a block and
+the block's slice of the call's boundary flags it gives the step that
+acts in place on the evolved rows of factor k, may raise their flags and
+gives back their raw squared norms (for the flashes).  The (N, K) flash
+centers belong to the spec, which passes them to ``_records`` (the GRW
+step fills its rows of them).  At a sample time the engine records the
 raw squared norm (the weight, or 1) and, on a copy after the residual
 unitary, the normalized state.  One flag rule holds for all processes: a
 row's boundary flag is raised by every snapshot state that is formed,
 and by its factor.  The two jump processes share one clock,
 ``_jump_schedule``, as in the paper: Exp(1) waits X_k, jump times
 T_k = (X_1 + ... + X_k) / mu; the collapse flow over mesh cells, the
-factor of the Diosi and hybrid processes, is ``_flow_factor``.
+step of the Diosi and hybrid factors, is ``_flow_step``.
 
-``_in_blocks`` maps the block function over the row blocks on
+``_in_blocks`` runs the block function once per row block on
 ``engine_threads(workers)`` threads, in contiguous groups of blocks: the
 usable cores (``os.sched_getaffinity``), capped at ``workers`` when it is
 given.  numpy, the FFTs and the GEMMs release the GIL, so the blocks of
@@ -102,15 +105,14 @@ def engine_threads(workers=None):
     return min(cores, int(workers))
 
 
-def _flow_factor(grid, lam, dt, increments, n_cells, rows, centers=None):
-    """The exact collapse flow over mesh cells of length dt, as a ``_records`` factor.
+def _flow_step(grid, lam, dt, increments, n_cells, rows, flashes=False):
+    """The exact collapse flow over mesh cells of length dt, as the step of a block's factor.
 
     Step k applies ``grid._flow_rows`` to row r with dxi
     ``increments(k0, k1)[r, k - k0]``, fetched for cells k0 <= k < k1 at
     most ``_MAX_INCREMENT_ELEMENTS`` at a time and never past ``n_cells``.
-    Returns (step, centers, flags): with flash ``centers`` the step returns
-    the raw squared norms after the flow, else None; the flow raises no
-    flag of its own.
+    It returns the raw squared norms after the flow when its rows have
+    ``flashes``, else None; the flow raises no flag of its own.
     """
     buf = np.empty((rows, grid.n_points))
     chunk = max(1, _MAX_INCREMENT_ELEMENTS // max(rows, 1))
@@ -124,41 +126,44 @@ def _flow_factor(grid, lam, dt, increments, n_cells, rows, centers=None):
             held[2] = increments(*held[:2])
         dxi = held[2][act, k - held[0]]
         _flow_rows(amps, grid, lam, dt, dxi, out=amps, buf=buf[:dxi.size])
-        return None if centers is None else _norm2_rows(amps, grid.dx)
+        return _norm2_rows(amps, grid.dx) if flashes else None
 
-    return flow, centers, np.zeros(rows, dtype=bool)
+    return flow
 
 
-def _records(phi0, h, seed, indices, times, clock, factor, store_states=True, workers=None,
-             unit_weights=False):
+def _records(phi0, h, seed, indices, times, clock, factor, centers=None, store_states=True,
+             workers=None, unit_weights=False):
     """The Trajectories of rows ``indices``: the Trotter product of a clock and a factor.
 
     Every process is this product on copies of phi0, which must be
-    normalized, worked through in the row blocks of ``_in_blocks``.  The
-    ``clock`` is (jump_times, tau, counts, residual), as ``_jump_schedule``
-    returns it.  Row r applies factors k = 0, 1, ...: the unitary of
-    duration tau (a float for every factor of every row, taken as one split
-    step with the shared phasors, one row of ``grid._phasors`` that
-    broadcasts over the block; else ``tau[r, k]``, exactly), then the
-    collapse step.  Snapshot j follows the first ``counts[r, j]`` factors
-    (counts non-decreasing in j); the columns of counts past ``times`` run
-    their factors and take no snapshot.  At snapshot j the weight is the raw
-    squared norm (1 with ``unit_weights``), and the state is normalized
-    after the unitary of duration ``residual[r, j]`` on a copy, or on the
-    batch itself when residual is None.  With a residual and without
-    ``store_states`` no state is formed.
+    normalized, worked through in the row blocks of ``_in_blocks``; each
+    block writes its own rows of the call's weights, states, boundary flags
+    and flash norms.  The ``clock`` is (jump_times, tau, counts, residual),
+    as ``_jump_schedule`` returns it.  Row r applies factors k = 0, 1, ...:
+    the unitary of duration tau (a float for every factor of every row,
+    taken as one split step with the shared phasors, one row of
+    ``grid._phasors`` that broadcasts over the block; else ``tau[r, k]``,
+    exactly), then the collapse step.  Snapshot j follows the first
+    ``counts[r, j]`` factors (counts non-decreasing in j); the columns of
+    counts past ``times`` run their factors and take no snapshot.  At
+    snapshot j the weight is the raw squared norm (1 with
+    ``unit_weights``), and the state is normalized after the unitary of
+    duration ``residual[r, j]`` on a copy, or on the batch itself when
+    residual is None.  With a residual and without ``store_states`` no
+    state is formed.
 
-    ``factor(b0, b1)`` gives (step, centers, flags) for rows b0 .. b1-1:
+    ``factor(b0, b1, flags)`` gives the step of rows b0 .. b1-1, whose
+    boundary flags are ``flags``, the block's slice of the call's:
     ``step(amps, act, k)`` acts in place on the evolved rows ``act`` of the
-    block (a slice or an index array) and returns their raw squared norms or
-    None; ``centers`` is the (rows, K) flash centers or None; ``flags`` is
-    a (rows,) bool array that the step may raise.
+    block (a slice or an index array), may raise their flags, and returns
+    their raw squared norms, or None when the process has no flashes.
 
     One flag rule for every process: a row's boundary flag is raised by
     every snapshot state that is formed, and by the factor.  When
     ``jump_times`` is not None, row r's flashes are its first max_j
-    counts[r, j] factors, at ``jump_times[r]``, with the factor's centers
-    and the norms its step returns.
+    counts[r, j] factors, at ``jump_times[r]``, with the (N, K) flash
+    ``centers`` the spec owns (its step may fill them) and the norms its
+    step returns; they are flattened once, after the blocks.
     """
     if phi0.label != NORMALIZED:
         raise InvalidParameterError("phi0 must be normalized")
@@ -170,17 +175,17 @@ def _records(phi0, h, seed, indices, times, clock, factor, store_states=True, wo
         one = np.array([tau])
         phases = (None if h.potential_is_zero else _phasors(one, h.potential),
                   _phasors(one, grid.k2, even=True) if h.kinetic else None)
-    n_times = len(times)
+    n_rows, n_times = len(indices), len(times)
+    weights = np.ones((n_rows, n_times)) if unit_weights else np.empty((n_rows, n_times))
+    states = np.empty((n_rows, n_times, grid.n_points), np.complex128) if store_states else None
+    flags = np.zeros(n_rows, dtype=bool)
+    norms = None if jump_times is None else np.zeros(tau.shape)
 
     def block(b0, b1):
-        step, centers, flags = factor(b0, b1)
-        rows, cnt = b1 - b0, counts[b0:b1]
+        rows, cnt, flag = b1 - b0, counts[b0:b1], flags[b0:b1]
+        step = factor(b0, b1, flag)
         taus = tau if shared else tau[b0:b1]
         res = None if residual is None else residual[b0:b1]
-        weights = np.ones((rows, n_times)) if unit_weights else np.empty((rows, n_times))
-        states = (np.empty((rows, n_times, grid.n_points), dtype=np.complex128)
-                  if store_states else None)
-        norms = None if jump_times is None else np.zeros(taus.shape)
         amps = np.tile(phi0.amplitudes, (rows, 1))
         done = np.zeros(rows, dtype=np.int64)
         for j in range(cnt.shape[1] if rows else 0):
@@ -191,7 +196,7 @@ def _records(phi0, h, seed, indices, times, clock, factor, store_states=True, wo
                 sub = _unitary_rows(amps[act], h, taus if shared else taus[act, k], phases)
                 got = step(sub, act, k)
                 if norms is not None:
-                    norms[act, k] = got
+                    norms[b0:b1][act, k] = got
                 if lockstep:
                     amps = sub
                 else:
@@ -200,20 +205,20 @@ def _records(phi0, h, seed, indices, times, clock, factor, store_states=True, wo
             if j >= n_times:
                 continue
             if not unit_weights:
-                weights[:, j] = _norm2_rows(amps, grid.dx)
+                weights[b0:b1, j] = _norm2_rows(amps, grid.dx)
             if res is None or store_states:
                 snap = amps if res is None else _unitary_rows(amps.copy(), h, res[:, j])
-                flags |= _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
+                flag |= _boundary_masses(snap, grid) > BOUNDARY_MASS_LIMIT
                 if store_states:
-                    _normalize_rows(snap, _norm2_rows(snap, grid.dx), out=states[:, j])
-        flashes = ()
-        if jump_times is not None:
-            n_flashes = cnt.max(axis=1, initial=0)
-            keep = np.arange(norms.shape[1]) < n_flashes[:, None]
-            flashes = jump_times[b0:b1][keep], centers[keep], norms[keep], n_flashes
-        return Trajectories(seed, grid, times, indices[b0:b1], weights, states, flags, *flashes)
+                    _normalize_rows(snap, _norm2_rows(snap, grid.dx), out=states[b0:b1, j])
 
-    return Trajectories.concat(_in_blocks(len(indices), grid.n_points, block, workers))
+    _in_blocks(n_rows, grid.n_points, block, workers)
+    flashes = ()
+    if jump_times is not None:
+        n_flashes = counts.max(axis=1, initial=0)
+        keep = np.arange(norms.shape[1]) < n_flashes[:, None]
+        flashes = jump_times[keep], centers[keep], norms[keep], n_flashes
+    return Trajectories(seed, grid, times, indices, weights, states, flags, *flashes)
 
 
 def _row_blocks(n_rows, n_points):
@@ -223,26 +228,26 @@ def _row_blocks(n_rows, n_points):
 
 
 def _in_blocks(n_rows, n_points, block, workers=None):
-    """[block(lo, hi) for each row block (lo, hi) of _row_blocks], on the engine threads.
+    """Run block(lo, hi) once for each row block (lo, hi) of _row_blocks, on the engine threads.
 
     The blocks are split into contiguous groups, one per thread of
-    ``engine_threads(workers)``; the caller's thread runs the first group
-    and the results come back in block order.  ``block`` must do array work
-    only, its random draws made before the call or on a generator of its
-    own.  A group stops at its first error; once every thread has finished,
-    the error of the lowest failing block is raised, the one a serial loop
-    would raise.
+    ``engine_threads(workers)``; the caller's thread runs the first group.
+    A block hands back its results by writing its own rows of the caller's
+    arrays, so no two blocks write the same element.  ``block`` must do
+    array work only, its random draws made before the call or on a
+    generator of its own.  A group stops at its first error; once every
+    thread has finished, the error of the lowest failing block is raised,
+    the one a serial loop would raise.
     """
     spans = _row_blocks(n_rows, n_points)
     n_groups = min(engine_threads(workers), len(spans))
     bounds = [len(spans) * g // n_groups for g in range(n_groups + 1)]
-    results = [None] * len(spans)
     errors = [None] * n_groups
 
     def run(g):
         try:
             for b in range(bounds[g], bounds[g + 1]):
-                results[b] = block(*spans[b])
+                block(*spans[b])
         except BaseException as exc:  # raised below, after every thread has finished
             errors[g] = exc
 
@@ -257,7 +262,6 @@ def _in_blocks(n_rows, n_points, block, workers=None):
     for exc in errors:
         if exc is not None:
             raise exc
-    return results
 
 
 def _waiting_times(seed, indices, dt_cell, horizon):

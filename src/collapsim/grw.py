@@ -11,15 +11,17 @@ Trajectories are ``engine._records`` on the jump clock the hybrid process
 also runs on (``engine._jump_schedule``): Exp(1) waits X_k in the rng
 layout and jump times T_k = X_1 / mu + ... + X_k / mu.  Factor k is the
 exact unitary of duration X_k / mu (``grid._unitary_rows``) followed by
-the hit factor (``_hit_factor``), which draws each row's center from that
-row's evolved state with the row's k-th uniform and k-th normal,
-multiplies by (alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2)
-(``grid._hit_rows``), records the raw squared norm, renormalizes
-(``grid._normalize_rows``) and raises the row's boundary flag from the
-renormalized state.  The uniforms and normals, from the row's own
-ROLE_FLASH_POSITION and ROLE_FLASH_NOISE streams, are drawn for every
-row before the row blocks run (``_flash_draws``), so the blocks do array
-work only.  Snapshots are the normalized states after the residual
+the hit.  As for every process, the factor is ``factor(b0, b1, flags) ->
+step``; here the step is the hit on the block's rows.  It draws each
+row's center from that row's evolved state with the row's k-th uniform
+and k-th normal, writes it to the call's (N, K) flash centers, multiplies
+by (alpha/pi)^(1/4) exp(-(alpha/2)(x - y)^2) (``grid._hit_rows``),
+returns the raw squared norm, renormalizes (``grid._normalize_rows``) and
+raises the row's boundary flag from the renormalized state.  The uniforms
+and normals, from the row's own ROLE_FLASH_POSITION and ROLE_FLASH_NOISE
+streams, are drawn for every row before the row blocks run
+(``_flash_draws``), and the centers allocated beside them, so the blocks
+do array work only.  Snapshots are the normalized states after the residual
 unitary from the last jump; the weights are identically 1.
 """
 
@@ -112,38 +114,13 @@ def _flash_draws(seed, indices, n_hits):
                              "standard_normal", np.empty(shape)))
 
 
-def _hit_factor(grid, alpha, uniforms, normals):
-    """The Gaussian hit as an ``engine._records`` factor for the rows of one block.
-
-    ``uniforms`` and ``normals`` hold the block's rows of ``_flash_draws``:
-    hit k of row r uses uniforms[r, k] and normals[r, k].  Returns (hit,
-    centers, flags): the step, the (rows, n_hits) centers it draws, and
-    the per-row flag it raises from the boundary mass after every hit.
-    """
-    rows = uniforms.shape[0]
-    r_all = np.arange(rows)
-    centers = np.zeros(uniforms.shape)
-    flags = np.zeros(rows, dtype=bool)
-
-    def hit(amps, act, k):
-        r = r_all[act]
-        y = _sample_centers(amps, grid, alpha, uniforms[r, k], normals[r, k])
-        centers[r, k] = y
-        _hit_rows(amps, grid, alpha, y, out=amps)
-        n2 = _norm2_rows(amps, grid.dx)
-        _normalize_rows(amps, n2, out=amps)
-        flags[r] |= _boundary_masses(amps, grid) > BOUNDARY_MASS_LIMIT
-        return n2
-
-    return hit, centers, flags
-
-
 def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=False,
                  workers=None):
     """GRW spec: the Trajectories of the jump indices lo .. hi-1, one ``engine._records`` call.
 
     The clock is ``engine._jump_schedule`` up to t_max (every wait X_k = 1
-    when ``deterministic``), the factor ``_hit_factor``, and the weights
+    when ``deterministic``), the factor the Gaussian hit on the block's rows
+    of the flash draws and of the (N, K) centers it fills, and the weights
     are 1.  Every jump is a factor, including those after the last sample
     time, whose flashes are recorded too.  Without ``store_states`` the rows
     keep no states, and their boundary flags come from the hits alone.
@@ -154,11 +131,24 @@ def _grw_records(phi0, h, p, seed, lo, hi, store_states=True, deterministic=Fals
     _, taus, _, _ = clock = engine._jump_schedule(
         seed, indices, p.mu, p.sample_times + (p.t_max,), p.t_max, deterministic)
     uniforms, normals = _flash_draws(seed, indices, taus.shape[1])
-    def factor(b0, b1):
-        return _hit_factor(phi0.grid, p.alpha, uniforms[b0:b1], normals[b0:b1])
+    centers = np.zeros(taus.shape)
 
-    return engine._records(phi0, h, seed, indices, p.sample_times, clock, factor, store_states,
-                           workers, unit_weights=True)
+    def factor(b0, b1, flags):
+        u, g, c = uniforms[b0:b1], normals[b0:b1], centers[b0:b1]  # the block's rows
+
+        def hit(amps, act, k):
+            y = _sample_centers(amps, phi0.grid, p.alpha, u[act, k], g[act, k])
+            c[act, k] = y
+            _hit_rows(amps, phi0.grid, p.alpha, y, out=amps)
+            n2 = _norm2_rows(amps, phi0.grid.dx)
+            _normalize_rows(amps, n2, out=amps)
+            flags[act] |= _boundary_masses(amps, phi0.grid) > BOUNDARY_MASS_LIMIT
+            return n2
+
+        return hit
+
+    return engine._records(phi0, h, seed, indices, p.sample_times, clock, factor, centers,
+                           store_states, workers, unit_weights=True)
 
 
 def grw_trajectory(phi0, h, p, seed, index=0):

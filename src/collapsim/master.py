@@ -73,10 +73,6 @@ class DensityMatrix:
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
-    def min_eigenvalue(self):
-        sym = 0.5 * (self.entries + self.entries.conj().T)
-        return float(np.linalg.eigvalsh(sym)[0]) * self.grid.dx
-
 
 def grw_decoherence_rates(grid, mu, alpha):
     """Rate matrix mu (1 - exp(-alpha (x_i - x_j)^2 / 4))."""
@@ -151,7 +147,7 @@ def _unpack(m):
     return rho
 
 
-def _evolve(rho0, h, rates, t, dt, validate):
+def _evolve(rho0, h, rates, t, dt):
     """rho_t by fixed-step RK4 of d rho / dt = -i [H, rho] - rates rho.
 
     RK4 runs on the packed real kernel M = Re rho + Im rho (module
@@ -160,7 +156,7 @@ def _evolve(rho0, h, rates, t, dt, validate):
     must be Hermitian to HERMITIAN_RTOL relative to its largest entry
     (InvalidParameterError otherwise, and for non-finite entries) and is
     symmetrized first.  t must be finite and nonnegative, dt positive and
-    finite, and t / dt at most MAX_RK4_STEPS.  ``validate`` reruns at half
+    finite, and t / dt at most MAX_RK4_STEPS.  Every solve reruns at half
     the step and raises StepTooLargeError unless the two agree to 1e-6 in
     every entry of rho.
     """
@@ -186,30 +182,28 @@ def _evolve(rho0, h, rates, t, dt, validate):
     n_steps = max(1, math.ceil(t / dt - 1e-12))
     packed = entries.real + entries.imag
     out = _unpack(_rk4(packed, rhs, t, n_steps))
-    if validate:
-        fine = _unpack(_rk4(packed, rhs, t, 2 * n_steps))
-        err = float(np.max(np.abs(out - fine)))
-        if not err <= 1e-6:
-            raise StepTooLargeError(
-                f"step-halving disagreement {err:.3e} > 1e-6; reduce dt")
+    fine = _unpack(_rk4(packed, rhs, t, 2 * n_steps))
+    err = float(np.max(np.abs(out - fine)))
+    if not err <= 1e-6:
+        raise StepTooLargeError(f"step-halving disagreement {err:.3e} > 1e-6; reduce dt")
     return DensityMatrix(rho0.grid, out)
 
 
-def evolve_grw_master(rho0, h, mu, alpha, t, dt, validate=True):
+def evolve_grw_master(rho0, h, mu, alpha, t, dt):
     """rho_t solving the jump-model master equation with fixed-step RK4.
 
     Trace is conserved to roundoff (the commutator is traceless and the
-    decoherence factor vanishes on the diagonal).  ``validate`` reruns at
-    half the step and raises StepTooLargeError on disagreement > 1e-6.
+    decoherence factor vanishes on the diagonal).  The solve reruns at half
+    the step and raises StepTooLargeError on disagreement > 1e-6.
     """
     rates = grw_decoherence_rates(rho0.grid, mu, alpha)
-    return _evolve(rho0, h, rates, t, dt, validate)
+    return _evolve(rho0, h, rates, t, dt)
 
 
-def evolve_diosi_master(rho0, h, lam, t, dt, validate=True):
+def evolve_diosi_master(rho0, h, lam, t, dt):
     """rho_t solving the diffusion-model master equation (see evolve_grw_master)."""
     rates = diosi_decoherence_rates(rho0.grid, lam)
-    return _evolve(rho0, h, rates, t, dt, validate)
+    return _evolve(rho0, h, rates, t, dt)
 
 
 def _weighted_outer(amps, w):

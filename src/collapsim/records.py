@@ -2,7 +2,9 @@
 
 Every simulation entry point returns a ``Trajectories``: the engine's
 arrays for N trajectories, from the stacked (N, T, n) snapshots and (N, T)
-weights to the flashes, stored flat with a per-row count.  The archive
+weights to the flashes, stored flat with a per-row count.  One engine call
+builds one, on the arrays its row blocks wrote; Trajectories are never
+joined, and a slice of rows is its own engine call.  The archive
 writes and reads that type, and ``reweight_ensemble`` takes one column of
 it as a WeightedEnsemble, the ensemble at one time: the (N, n) amplitudes
 on one grid and the (N,) weights that the density matrix, its standard
@@ -10,11 +12,11 @@ error, the summary and the density export read.  ``Trajectories[i]`` and
 iteration give TrajectoryRecord rows, built on demand as views.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError, ScheduleMismatchError
+from .errors import InvalidParameterError, ScheduleMismatchError
 from .grid import NORMALIZED, Grid, WaveFunction
 
 
@@ -107,18 +109,6 @@ class Trajectories:
                 or self.states is not None and self.states.shape != shape + (self.grid.n_points,)):
             raise InvalidParameterError(
                 "trajectory arrays disagree with the indices, times or grid")
-
-    @classmethod
-    def concat(cls, parts):
-        """The rows of ``parts`` in order; they must share grid and times."""
-        first = parts[0]
-        if any(part.grid != first.grid for part in parts):
-            raise GridMismatchError("trajectories live on different grids")
-        if any(part.times != first.times for part in parts):
-            raise ScheduleMismatchError("trajectories have different sample times")
-        columns = ([getattr(part, f.name) for part in parts] for f in fields(cls)[3:])
-        return cls(first.seed, first.grid, first.times,
-                   *(None if col[0] is None else np.concatenate(col) for col in columns))
 
     def __len__(self):
         return len(self.indices)

@@ -1,10 +1,13 @@
 """Acceptance suite: runs every criterion at full scale with the pinned seed
 and prints one pass/fail line per criterion; pins criterion 7's splitting
-subcheck and its Taylor oracle.
+subcheck and its Taylor oracle, and checks that criterion 8 sees a row that
+differs from its batch of one.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live; the
 full suite takes several minutes (the scaling-limit criterion dominates).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,3 +60,17 @@ def test_taylor_oracle_is_the_matrix_exponential(kind, t):
     h = HamiltonianSpec(grid, v, kinetic=kind != "potential_only")
     want = scipy.linalg.expm(-1j * t * hamiltonian_matrix(h)) @ phi.amplitudes
     assert np.max(np.abs(acceptance._taylor_unitary(phi, h, t) - want)) <= 1e-13
+
+
+def test_c8_sees_a_row_that_is_not_its_batch_of_one():
+    # row 128 (two jumps) rerun on another seed stands in for a row whose
+    # bytes depend on its batch: the subcheck must fail on it, and on it alone
+    rerun = acceptance.grw_trajectory
+
+    def other_seed_at_128(phi0, h, p, seed, index):
+        return rerun(phi0, h, p, seed + (index == 128), index)
+
+    with mock.patch.object(acceptance, "grw_trajectory", other_seed_at_128):
+        report = acceptance.criterion_8(acceptance.DEFAULT_SEED)
+    assert report.details["failed_subchecks"] == ["grw_cos_rows_are_batches_of_one"]
+    assert report.details["grw_cos_rows_differing"] == [128]

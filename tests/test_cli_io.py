@@ -368,7 +368,7 @@ class TestArchiveRecordChecks:
         path = os.path.join(tmp_path, "w.cldn")
         recs = reader.records
         with pytest.raises(ArchiveError, match="indices"):
-            write_archive(path, cfg, Trajectories.concat([recs, recs]))
+            write_archive(path, cfg, dataclasses.replace(recs, indices=[0, 1, 1, 3]))
         with pytest.raises(ArchiveError, match="indices"):
             write_archive(path, cfg, dataclasses.replace(recs, indices=[0, 2, 1, 3]))
         with pytest.raises(ArchiveError, match="states"):
@@ -686,6 +686,21 @@ master_dt = 2e-4
             for i in range(grid.n_points) for j in range(grid.n_points))
         with open(path, newline="") as fh:
             assert fh.read() == want
+
+    @pytest.mark.parametrize("times, note", [
+        ("0.1, 0.15, 0.2", "note: master_rho.csv holds rho at t = 0.2 only; "
+                           "sample times not written: 0.1, 0.15\n"),
+        ("0.2", ""),
+    ], ids=["three_times", "one_time"])
+    def test_master_run_names_the_sample_time_it_writes(self, tmp_path, capsys, times, note):
+        cfg_path = os.path.join(tmp_path, "m.cfg")
+        open(cfg_path, "w").write(
+            MASTER_CFG.replace("sample_times = 0.2", f"sample_times = {times}"))
+        out = os.path.join(tmp_path, "o")
+        assert main(["simulate", "--config", cfg_path, "--output", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == os.path.join(out, "master_rho.csv") + "\n"
+        assert captured.err == note
 
     @pytest.mark.parametrize("model", ["diosi", "master", "grw"])
     def test_bad_worker_count_fails_before_output(self, tmp_path, capsys, model):

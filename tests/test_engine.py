@@ -271,11 +271,19 @@ def test_diosi_blocks_draw_on_generators_of_their_own():
 
 
 def test_blocks_come_back_in_order_on_every_thread_count():
+    # every block runs once and writes its own rows of one array
     for threads in (1, 2, 3, 8):
+        rows, runs = np.zeros(11, dtype=np.int64), []
+
+        def block(lo, hi):
+            runs.append((lo, hi))
+            rows[lo:hi] += np.arange(lo, hi) + 1
+
         with mock.patch.object(engine, "_BLOCK_AMPLITUDES", 2 * GRID.n_points), \
                 mock.patch.object(engine, "engine_threads", lambda workers=None: threads):
-            assert engine._in_blocks(11, GRID.n_points, lambda lo, hi: (lo, hi)) == [
-                (0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11)]
+            assert engine._in_blocks(11, GRID.n_points, block) is None
+        assert sorted(runs) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11)]
+        assert rows.tolist() == list(range(1, 12))
 
 
 def test_the_lowest_failing_block_raises_after_every_thread_ends():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from collapsim import Grid, ensemble_density, reweight_ensemble
-from collapsim.errors import GridMismatchError, InvalidParameterError, ScheduleMismatchError
+from collapsim.errors import InvalidParameterError, ScheduleMismatchError
 from collapsim.master import ensemble_density_se
 from collapsim.records import Trajectories, WeightedEnsemble
 
@@ -20,10 +20,10 @@ def _ensemble(dtype, n=50, seed=3):
     return WeightedEnsemble(0.0, GRID, amps.astype(dtype), rng.exponential(size=n))
 
 
-def _records(amplitudes, weights, t=0.5, grid=GRID, first=0):
-    """Trajectories of one sample time t with the given (N, n) amplitudes and weights."""
+def _records(amplitudes, weights):
+    """Trajectories of the one sample time 0.5 with the given (N, n) amplitudes and weights."""
     n = len(weights)
-    return Trajectories(0, grid, (t,), range(first, first + n), np.asarray(weights)[:, None],
+    return Trajectories(0, GRID, (0.5,), range(n), np.asarray(weights)[:, None],
                         amplitudes[:, None], np.zeros(n, dtype=bool))
 
 
@@ -42,10 +42,6 @@ def test_matches_per_state_sums(dtype):
 
 def test_states_on_another_grid_are_rejected():
     ens = _ensemble(np.complex128, n=3)
-    head = _records(ens.amplitudes[:2], ens.weights[:2])
-    tail = _records(ens.amplitudes[2:], ens.weights[2:], grid=Grid(32, -4.0, 4.0), first=2)
-    with pytest.raises(GridMismatchError):
-        Trajectories.concat([head, tail])
     with pytest.raises(InvalidParameterError):  # a state array that does not fit the grid
         _records(ens.amplitudes[:, :16], ens.weights)
 
@@ -53,9 +49,6 @@ def test_states_on_another_grid_are_rejected():
 def test_rows_off_the_schedule_are_rejected():
     ens = _ensemble(np.complex128, n=3)
     head = _records(ens.amplitudes[:2], ens.weights[:2])
-    tail = _records(ens.amplitudes[2:], ens.weights[2:], t=0.25, first=2)
-    with pytest.raises(ScheduleMismatchError):
-        Trajectories.concat([head, tail])
     with pytest.raises(ScheduleMismatchError):
         reweight_ensemble(head, 0.25)
 

@@ -181,8 +181,8 @@ def test_numpy_accepts_every_fast_path_bound():
 
 
 def test_rows_drawn_on_two_engine_threads_equal_the_oracle():
-    # blocks of 64 rows on two threads at once; the long rows take the
-    # per-row restart
+    # blocks of 64 rows on two threads at once, each filling its rows of one
+    # array; the long rows take the per-row restart
     keys = philox_keys(31, range(640), ROLE_FLASH_POSITION)
     want = {(m, k): np.array([getattr(reference.stream(31, t, ROLE_FLASH_POSITION), m)(k)
                               for t in range(640)])
@@ -193,9 +193,14 @@ def test_rows_drawn_on_two_engine_threads_equal_the_oracle():
         with mock.patch.object(engine, "engine_threads", lambda workers=None: 2):
             for _ in range(3):
                 for (m, k), rows in want.items():
-                    got = engine._in_blocks(640, 256, lambda lo, hi: fill_rows(
-                        keys[lo:hi], m, np.empty((hi - lo, k))))
-                    assert len(got) == 10 and _bytes_equal(np.vstack(got), rows)
+                    got, blocks = np.empty((640, k)), []
+
+                    def block(lo, hi):
+                        blocks.append(lo)
+                        fill_rows(keys[lo:hi], m, got[lo:hi])
+
+                    engine._in_blocks(640, 256, block)
+                    assert len(blocks) == 10 and _bytes_equal(got, rows)
     finally:
         sys.setswitchinterval(interval)
 

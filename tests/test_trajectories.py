@@ -1,4 +1,4 @@
-"""Trajectories, the one array type of an ensemble: joins of slices against one
+"""Trajectories, the one array type of an ensemble: slices of rows against one
 call, the archive round trip, reweight_ensemble against per-row stacking,
 the row views, and the worker count that caps the engine's threads."""
 
@@ -57,15 +57,28 @@ SLICES = {
 }
 
 
+def rows_of(traj, lo, hi):
+    """Rows lo .. hi-1 of traj as a Trajectories, its flashes split by n_flashes."""
+    starts = np.concatenate([[0], np.cumsum(traj.n_flashes)])
+    flashes = (a[starts[lo]:starts[hi]] for a in (
+        traj.flash_times, traj.flash_centers, traj.flash_norms))
+    return Trajectories(traj.seed, traj.grid, traj.times, traj.indices[lo:hi],
+                        traj.weights[lo:hi], traj.states[lo:hi], traj.boundary_flags[lo:hi],
+                        *flashes, traj.n_flashes[lo:hi])
+
+
 @pytest.mark.parametrize("process", sorted(SLICES))
 def test_joined_slices_are_one_call(process):
     # blocks of 3 rows inside each slice; the slices [0, 2) and [2, 12) have
     # different flash widths, and both hold rows without flashes
+    spans = (0, 2), (2, 12)
     with mock.patch.object(engine, "_BLOCK_AMPLITUDES", 3 * GRID.n_points):
-        head, tail, whole = (SLICES[process](lo, hi) for lo, hi in ((0, 2), (2, 12), (0, 12)))
+        whole = SLICES[process](0, 12)
+        head, tail = parts = [SLICES[process](lo, hi) for lo, hi in spans]
     assert head.n_flashes.max() != tail.n_flashes.max()
     assert 0 in head.n_flashes and 0 in tail.n_flashes
-    assert_same_bytes(Trajectories.concat([head, tail]), whole)
+    for (lo, hi), part in zip(spans, parts):
+        assert_same_bytes(part, rows_of(whole, lo, hi))
 
 
 def test_rows_are_views_of_the_arrays():
